@@ -227,9 +227,6 @@ def cmd_bench(spec):
         "explored_ratio": totals["filtered"][1] / max(totals["unfiltered"][1], 1),
         "peak_sets_filtered": totals["filtered"][2],
         "peak_sets_unfiltered": totals["unfiltered"][2],
-        # typical gains seen on 300-neuron controller benchmarks, for context
-        "reference_speedup": 4.7,
-        "reference_memory_reduction": 0.645,
     }
     if not spec.options.get("no_timing"):
         summary["speedup"] = totals["unfiltered"][0] / max(totals["filtered"][0], 1e-9)

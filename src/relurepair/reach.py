@@ -124,14 +124,29 @@ class MaxSetsExceeded(RuntimeError):
 
 def layer_output(net, s, layer):
     """Exact reachable sets of one layer: affine map, then a fold of neuron
-    splits in ascending index order (none for an identity output layer)."""
+    splits in ascending index order (none for an identity output layer).
+
+    Neurons whose sign the mapped set already settles skip the fold: dead
+    ones (max <= ON_PLANE_TOL) are zeroed in one write and those with
+    min > ON_PLANE_TOL pass unchanged. Split children interpolate the mapped
+    set's vertices and a split or clamp touches only its own column, so such
+    a neuron would be treated alike in every descendant (a zeroed column
+    interpolates to exactly 0). The output is bit-identical to the full fold
+    unless an interpolation weight rounds to within an ulp of 1, which needs
+    neuron values about 2^52 apart. A min in [0, ON_PLANE_TOL] stays in the
+    fold: a split child can lose the part above ON_PLANE_TOL and turn dead.
+    """
     if s.layer_cursor != layer:
         raise ValueError(f"set cursor is at layer {s.layer_cursor}, not {layer}")
     ly = net.layers[layer]
     mapped = fvim.affine_map(s, ly.weights, ly.bias)
     sets = [mapped]
     if ly.activation != IDENTITY:
-        for i in range(ly.weights.shape[0]):
+        vals = mapped.current_vertices
+        dead = vals.max(axis=0) <= fvim.ON_PLANE_TOL
+        vals[:, dead] = 0.0  # affine_map returned a fresh array
+        unsettled = ~dead & (vals.min(axis=0) <= fvim.ON_PLANE_TOL)
+        for i in np.flatnonzero(unsettled).tolist():
             sets = [child for cur in sets for child in fvim.split_by_neuron(cur, i)]
     return [replace(cur, layer_cursor=layer + 1) for cur in sets]
 

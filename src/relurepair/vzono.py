@@ -66,6 +66,17 @@ def neuron_bounds(z, i):
     return float(col.min()) - radius, float(col.max()) + radius
 
 
+def column_bounds(z):
+    """(lb, ub) arrays of every coordinate at once; neuron_bounds per column."""
+    radius = np.abs(z.base_vectors).sum(axis=0)
+    return z.base_vertices.min(axis=0) - radius, z.base_vertices.max(axis=0) + radius
+
+
+def _relax_coeffs(lb, ub):
+    """Slope and half-gap (lam, mu) of the ReLU band over [lb, ub]; see relu_relax."""
+    return ub / (ub - lb), -ub * lb / (2.0 * (ub - lb))
+
+
 def relu_relax(z, i, lb, ub):
     """Zonotope relaxation of ReLU on coordinate i for a range spanning zero.
 
@@ -76,8 +87,7 @@ def relu_relax(z, i, lb, ub):
     """
     if not (lb < 0.0 < ub):
         raise ValueError(f"relaxation needs lb < 0 < ub, got ({lb}, {ub})")
-    lam = ub / (ub - lb)
-    mu = -ub * lb / (2.0 * (ub - lb))
+    lam, mu = _relax_coeffs(lb, ub)
     c = z.base_vertices.copy()
     c[:, i] = lam * c[:, i] + mu
     v = z.base_vectors.copy()
@@ -90,21 +100,29 @@ def relu_relax(z, i, lb, ub):
 
 def relu_layer(z):
     """Apply ReLU across all coordinates: zero the surely-negative ones, keep
-    the surely-positive ones, relax the spanning ones. Always one output set."""
-    for i in range(z.dim):
-        lb, ub = neuron_bounds(z, i)
-        if ub <= 0.0:
-            c = z.base_vertices.copy()
-            c[:, i] = 0.0
-            v = z.base_vectors.copy()
-            if v.shape[0]:
-                v[:, i] = 0.0
-            z = VZono(c, v)
-        elif lb >= 0.0:
-            continue
-        else:
-            z = relu_relax(z, i, lb, ub)
-    return z
+    the surely-positive ones, relax the spanning ones. Always one output set.
+
+    All columns are handled in one pass. Relaxing neuron i reads and writes
+    column i only, and its fresh generator is zero outside column i, so the
+    result equals relaxing neuron by neuron in ascending order; the fresh
+    generators are appended in that order.
+    """
+    lb, ub = column_bounds(z)
+    dead = ub <= 0.0
+    span = ~dead & (lb < 0.0)
+    if not (dead.any() or span.any()):
+        return z
+    c = z.base_vertices.copy()
+    v = z.base_vectors.copy()
+    c[:, dead] = 0.0
+    v[:, dead] = 0.0
+    cols = np.flatnonzero(span)
+    lam, mu = _relax_coeffs(lb[cols], ub[cols])
+    c[:, cols] = lam * c[:, cols] + mu
+    v[:, cols] = lam * v[:, cols]
+    fresh = np.zeros((cols.size, z.dim))
+    fresh[np.arange(cols.size), cols] = mu
+    return VZono(c, np.vstack([v, fresh]))
 
 
 def constraint_min(z, alpha, beta):
@@ -141,10 +159,7 @@ def is_provably_safe(z, unsafe):
 def interval_hull(z):
     """Coarsen to the axis-aligned bounding box: one base vertex, at most d
     generators. Sound but looser; used to cap base-vertex growth."""
-    los = np.empty(z.dim)
-    his = np.empty(z.dim)
-    for i in range(z.dim):
-        los[i], his[i] = neuron_bounds(z, i)
+    los, his = column_bounds(z)
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     gens = np.diag(half)

@@ -159,8 +159,6 @@ def test_pruning_effectiveness():
     print(
         f"    explored {stats_on.explored_sets}/{stats_off.explored_sets} sets"
         f" ({ratio:.1%}), speedup {t_off / t_on:.2f}x"
-        f" (reference on larger controller benchmarks: ~4.7x mean speedup,"
-        f" ~64.5% memory reduction)"
     )
 
 

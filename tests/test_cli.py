@@ -145,7 +145,10 @@ class TestBench:
         data = json.loads(out.read_text())
         row = data["properties"][0]
         assert row["filtered"]["explored_sets"] < row["unfiltered"]["explored_sets"]
-        assert data["summary"]["reference_speedup"] == 4.7
+        assert set(data["summary"]) == {
+            "explored_ratio", "peak_sets_filtered", "peak_sets_unfiltered",
+            "speedup", "wall_time_ms_filtered", "wall_time_ms_unfiltered",
+        }
 
 
 class TestRoundTrip:

@@ -1,10 +1,14 @@
 """Reachability engine: layer propagation, pruning, backtracking, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relurepair import fixtures as fx
-from relurepair.fvim import box_polytope, contains, facet_halfspaces
+from relurepair.fvim import ON_PLANE_TOL, affine_map, box_polytope, contains, facet_halfspaces, split_by_neuron
 from relurepair.model import IDENTITY, RELU, Layer, Network, forward, forward_batch
 from relurepair.reach import (
     MaxSetsExceeded,
@@ -67,6 +71,83 @@ class TestLayerOutput:
         hits_loose = np.stack([contains(h, pts, tol=1e-7) for h in hs]).sum(axis=0)
         assert (hits_strict <= 1).all()
         assert (hits_loose >= 1).all()
+
+
+def fold_layer_output(net, s, layer):
+    """Reference: affine map, then split every neuron in ascending order."""
+    ly = net.layers[layer]
+    sets = [affine_map(s, ly.weights, ly.bias)]
+    if ly.activation != IDENTITY:
+        for i in range(ly.weights.shape[0]):
+            sets = [child for cur in sets for child in split_by_neuron(cur, i)]
+    return [replace(cur, layer_cursor=layer + 1) for cur in sets]
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.layer_cursor == w.layer_cursor
+        for a, b in ((g.fvim, w.fvim), (g.input_vertices, w.input_vertices),
+                     (g.current_vertices, w.current_vertices)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+# row scales and biases that put neuron ranges on, inside and just outside
+# the +-ON_PLANE_TOL band
+ROW_SCALES = [1.0, 0.0, ON_PLANE_TOL, 2 * ON_PLANE_TOL]
+BIASES = [-1.0, -0.5, 0.0, 0.5, 1.0] + [
+    k * ON_PLANE_TOL for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+]
+
+
+@st.composite
+def hidden_layer(draw, fan_in):
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=fan_in, max_size=fan_in),
+                         min_size=width, max_size=width))
+    scales = draw(st.lists(st.sampled_from(ROW_SCALES), min_size=width, max_size=width))
+    w = np.array(rows, float) * np.array(scales)[:, None]
+    b = np.array(draw(st.lists(st.sampled_from(BIASES), min_size=width, max_size=width)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, width - 1)),
+                                  max_size=2)):
+        w[dst], b[dst] = w[src], b[src]  # duplicate neuron
+    return Layer(w, b, RELU)
+
+
+@st.composite
+def small_relu_nets(draw):
+    dim = draw(st.integers(1, 3))
+    first = draw(hidden_layer(dim))
+    second = draw(hidden_layer(first.weights.shape[0]))
+    out = Layer(np.ones((1, second.weights.shape[0])), np.zeros(1), IDENTITY)
+    return Network([first, second, out])
+
+
+class TestLayerOutputMatchesFold:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(net=small_relu_nets())
+    def test_bit_identical_to_per_neuron_fold(self, net):
+        sets = [box_polytope(-np.ones(net.input_dim), np.ones(net.input_dim))]
+        for layer in range(net.num_layers):
+            nxt = []
+            for s in sets:
+                want = fold_layer_output(net, s, layer)
+                assert_bit_identical(layer_output(net, s, layer), want)
+                nxt.extend(want)
+            sets = nxt
+
+    def test_small_positive_range_can_die_in_a_split_child(self):
+        # neuron 1 spans [0, 4e-9] on the box, but only [0, 5e-10] on the
+        # child x <= -0.75 that neuron 0 cuts off, where ReLU treats it as dead
+        w = np.array([[1.0], [2 * ON_PLANE_TOL]])
+        b = np.array([0.75, 2 * ON_PLANE_TOL])
+        net = Network([Layer(w, b, RELU), Layer(np.ones((1, 2)), np.zeros(1), IDENTITY)])
+        s = box_polytope([-1.0], [1.0])
+        got = layer_output(net, s, 0)
+        assert_bit_identical(got, fold_layer_output(net, s, 0))
+        assert len(got) == 2
+        assert not got[0].current_vertices[:, 1].any()
 
 
 class TestOutputOverapprox:

@@ -8,6 +8,7 @@ from relurepair.reach import UnsafeDomain
 from relurepair.vzono import (
     VZono,
     affine_map,
+    column_bounds,
     constraint_min,
     from_tracked,
     interval_hull,
@@ -18,7 +19,7 @@ from relurepair.vzono import (
     support,
 )
 
-from conftest import enum_vzono_vertices, triangle_tracked
+from conftest import enum_vzono_vertices, region_points, triangle_tracked
 
 FIG5_TRIANGLE = [[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]
 
@@ -168,23 +169,93 @@ class TestReluLayer:
         rng = np.random.default_rng(5)
         for _ in range(20):
             z = random_vzono(rng)
-            spanning = 0
-            probe = z
-            for i in range(z.dim):
-                lo, hi = neuron_bounds(probe, i)
-                if lo < 0 < hi:
-                    spanning += 1
-                    probe = relu_relax(probe, i, lo, hi)
-                elif hi <= 0:
-                    c = probe.base_vertices.copy()
-                    c[:, i] = 0
-                    v = probe.base_vectors.copy()
-                    if v.shape[0]:
-                        v[:, i] = 0
-                    probe = VZono(c, v)
+            spanning = sum(lo < 0 < hi for lo, hi in (neuron_bounds(z, i) for i in range(z.dim)))
             out = relu_layer(z)
             assert out.dim == z.dim
             assert out.num_base_vectors == z.num_base_vectors + spanning
+
+
+def relu_layer_by_neuron(z):
+    """Reference fold: relax one neuron at a time in ascending order."""
+    for i in range(z.dim):
+        lo, hi = neuron_bounds(z, i)
+        if hi <= 0.0:
+            c = z.base_vertices.copy()
+            c[:, i] = 0.0
+            v = z.base_vectors.copy()
+            v[:, i] = 0.0
+            z = VZono(c, v)
+        elif lo < 0.0:
+            z = relu_relax(z, i, lo, hi)
+    return z
+
+
+def assert_close_vzono(got, want):
+    """Same shapes (generator count and order) and values within 1e-12 of
+    the largest entry: per-column sums may round differently by an ulp."""
+    for a, b in ((got.base_vertices, want.base_vertices), (got.base_vectors, want.base_vectors)):
+        assert a.shape == b.shape
+        scale = max(float(np.abs(b).max(initial=0.0)), 1.0)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+
+
+def assert_relu_image_inside(z, out, rng):
+    """Every ReLU image of an encoded vertex or an interior point of z lies
+    under out's support function in random and axis directions."""
+    verts = enum_vzono_vertices(z)
+    pts = np.vstack([verts, region_points(rng, verts, 200)])
+    images = np.maximum(pts, 0.0)
+    dirs = np.vstack([np.eye(z.dim), -np.eye(z.dim), rng.normal(size=(30, z.dim))])
+    for a in dirs:
+        assert float((images @ a).max()) <= support(out, a) + 1e-9
+
+
+class TestReluLayerMatchesPerNeuronFold:
+    CASES = {
+        # coordinate 0's upper bound and coordinate 1's lower bound are exactly 0
+        "bounds_touch_zero": VZono(np.array([[-1.0, 0.5], [0.0, 2.0]]), np.array([[0.0, 0.5]])),
+        "all_dead": VZono(np.array([[-1.0, -2.0, -0.5]]), np.array([[0.25, 0.5, 0.0]])),
+        "all_positive": VZono(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([[0.5, 0.25]])),
+        "no_base_vectors": VZono(np.array([[-1.0, 2.0, -3.0], [1.0, -1.0, -1.0]]), np.zeros((0, 3))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edge_cases(self, name):
+        z = self.CASES[name]
+        got, want = relu_layer(z), relu_layer_by_neuron(z)
+        assert np.array_equal(got.base_vertices, want.base_vertices)
+        assert np.array_equal(got.base_vectors, want.base_vectors)
+        assert_relu_image_inside(z, got, np.random.default_rng(0))
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            z = random_vzono(rng, n_max=6)
+            got = relu_layer(z)
+            assert_close_vzono(got, relu_layer_by_neuron(z))
+            assert_relu_image_inside(z, got, rng)
+
+    def test_more_than_eight_generators(self):
+        # past 8 summands numpy's pairwise sum blocks differently from the
+        # column reduction, so bounds may differ in the last ulp
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            dim = int(rng.integers(2, 5))
+            z = VZono(rng.normal(size=(3, dim)), rng.normal(size=(int(rng.integers(9, 12)), dim)))
+            got = relu_layer(z)
+            assert got.num_base_vectors > 8
+            assert_close_vzono(got, relu_layer_by_neuron(z))
+            assert_relu_image_inside(z, got, rng)
+
+    def test_interval_hull_uses_per_neuron_bounds(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            z = random_vzono(rng)
+            lo, hi = column_bounds(z)
+            for i in range(z.dim):
+                assert (lo[i], hi[i]) == neuron_bounds(z, i)
+            hull = interval_hull(z)
+            assert np.array_equal(hull.base_vertices[0], 0.5 * (lo + hi))
 
 
 class TestConstraintMin:
