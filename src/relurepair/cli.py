@@ -128,8 +128,8 @@ def cmd_reach(spec):
     dump_sets = spec.options.get("dump_sets", False)
     out = {"projection_axes": [i, j], "properties": []}
     for prop in props:
-        finals = exact_final_sets(net, prop, ropts)
-        regions = reach_unsafe(net, prop, ropts)
+        regions = []
+        finals = exact_final_sets(net, prop, ropts, regions=regions)
         sets_json = []
         for s in finals:
             entry = {

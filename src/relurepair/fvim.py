@@ -114,39 +114,34 @@ def dim_bounds(s, i):
 
 def _dedupe_rows(mat):
     """Drop duplicate rows, keeping first occurrences in order."""
-    seen = {}
-    keep = []
-    for r in range(mat.shape[0]):
-        key = mat[r].tobytes()
-        if key not in seen:
-            seen[key] = True
-            keep.append(r)
-    return mat[keep] if len(keep) < mat.shape[0] else mat
+    keys = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1])))[:, 0]
+    _, first = np.unique(keys, return_index=True)  # stable: first occurrences
+    if len(first) == mat.shape[0]:
+        return mat
+    first.sort()
+    return mat[first]
 
 
-def _make_child(s, keep_idx, on_keep, new_incidence, new_inputs, new_currents):
+def _make_child(s, keep_idx, on_keep, new_cols, new_inputs, new_currents):
     """Assemble one side of a split: restricted columns + interpolated vertices
     + the split-hyperplane facet row; under-incident facet rows are dropped."""
     d = s.input_dim
-    n_new = len(new_inputs)
-    cols = s.fvim[:, keep_idx]
-    if n_new:
-        cols = np.hstack([cols, np.stack(new_incidence, axis=1)])
-        inputs = np.vstack([s.input_vertices[keep_idx], new_inputs])
-        currents = np.vstack([s.current_vertices[keep_idx], new_currents])
-    else:
-        inputs = s.input_vertices[keep_idx].copy()
-        currents = s.current_vertices[keep_idx].copy()
-    split_row = np.concatenate([on_keep, np.ones(n_new, dtype=bool)])
-    fvim = np.vstack([cols, split_row])
+    nk = len(keep_idx)
+    nv = nk + len(new_inputs)
+    if nv < d + 1:
+        logger.warning("discarding degenerate split child with %d vertices in %d-d", nv, d)
+        return None
+    inputs = np.concatenate((s.input_vertices[keep_idx], new_inputs))
+    currents = np.concatenate((s.current_vertices[keep_idx], new_currents))
+    nf = s.fvim.shape[0]
+    fvim = np.empty((nf + 1, nv), dtype=bool)
+    fvim[:nf, :nk] = s.fvim[:, keep_idx]
+    fvim[:nf, nk:] = new_cols
+    fvim[nf, :nk] = on_keep  # the split-hyperplane row
+    fvim[nf, nk:] = True
 
     fvim = fvim[fvim.sum(axis=1) >= max(d, 1)]
-    fvim = _dedupe_rows(fvim)
-
-    if inputs.shape[0] < d + 1:
-        logger.warning("discarding degenerate split child with %d vertices in %d-d", inputs.shape[0], d)
-        return None
-    return TrackedSet(fvim, inputs, currents, s.layer_cursor)
+    return TrackedSet(_dedupe_rows(fvim), inputs, currents, s.layer_cursor)
 
 
 def _split(s, values):
@@ -161,28 +156,29 @@ def _split(s, values):
     pos = values > ON_PLANE_TOL
     on = ~neg & ~pos
     d = s.input_dim
+    neg_idx = np.flatnonzero(neg)
+    pos_idx = np.flatnonzero(pos)
 
-    shared = s.fvim.T.astype(np.int32) @ s.fvim.astype(np.int32)
-    neg_idx = np.where(neg)[0]
-    pos_idx = np.where(pos)[0]
+    # A negative/positive vertex pair is an edge iff its columns share >= d-1
+    # facets. The counts are small integers, exact in float32 (BLAS-backed,
+    # unlike integer matmul). Row-major nonzero order is negative-major,
+    # positive-minor, the order in which the new vertices are appended.
+    f = s.fvim.astype(np.float32)
+    shared = f[:, neg_idx].T @ f[:, pos_idx]
+    ei, ej = np.nonzero(shared >= d - 1)
+    p = neg_idx[ei]
+    q = pos_idx[ej]
+    vp = values[p]
+    t = (vp / (vp - values[q]))[:, None]
+    iv, cv = s.input_vertices[p], s.current_vertices[p]
+    new_inputs = iv + t * (s.input_vertices[q] - iv)
+    new_currents = cv + t * (s.current_vertices[q] - cv)
+    new_cols = s.fvim[:, p] & s.fvim[:, q]
 
-    new_incidence = []
-    new_inputs = []
-    new_currents = []
-    for p in neg_idx:
-        for q in pos_idx:
-            # vertex pair is an edge iff the columns share >= d-1 facets
-            if shared[p, q] < d - 1:
-                continue
-            t = values[p] / (values[p] - values[q])
-            new_inputs.append(s.input_vertices[p] + t * (s.input_vertices[q] - s.input_vertices[p]))
-            new_currents.append(s.current_vertices[p] + t * (s.current_vertices[q] - s.current_vertices[p]))
-            new_incidence.append(s.fvim[:, p] & s.fvim[:, q])
-
-    neg_keep = np.where(neg | on)[0]
-    pos_keep = np.where(pos | on)[0]
-    neg_child = _make_child(s, neg_keep, on[neg_keep], new_incidence, new_inputs, new_currents)
-    pos_child = _make_child(s, pos_keep, on[pos_keep], new_incidence, new_inputs, new_currents)
+    neg_keep = np.flatnonzero(neg | on)
+    pos_keep = np.flatnonzero(pos | on)
+    neg_child = _make_child(s, neg_keep, on[neg_keep], new_cols, new_inputs, new_currents)
+    pos_child = _make_child(s, pos_keep, on[pos_keep], new_cols, new_inputs, new_currents)
     return neg_child, pos_child
 
 

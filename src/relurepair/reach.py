@@ -201,10 +201,10 @@ class _LiveGauge:
 class _Collector:
     """Shared result sink for DFS branches; the one mutex in the engine."""
 
-    def __init__(self, props, opts, collect_final):
+    def __init__(self, props, opts, collect_final, collect_safe):
         self.lock = threading.Lock()
         self.regions = {p.name: [] for p in props}
-        self.safe_sets = []
+        self.safe_sets = [] if collect_safe else None
         self.final_sets = [] if collect_final else None
         self.stats = ReachStats()
         self.opts = opts
@@ -219,13 +219,14 @@ class _Collector:
         with self.lock:
             self.stats.pruned_sets += 1
 
-    def add_final(self, s, found, safe_pair):
+    def add_final(self, s, found):
         with self.lock:
             self.stats.final_sets += 1
             for name, region in found:
                 self.regions[name].append(region)
-            if safe_pair is not None:
-                self.safe_sets.append(safe_pair)
+            if not found and self.safe_sets is not None:
+                # a final set's arrays are never written again: no copy
+                self.safe_sets.append((s.input_vertices, s.current_vertices))
             if self.final_sets is not None:
                 self.final_sets.append(s)
 
@@ -239,10 +240,7 @@ def _process_node(net, s, props, opts, col):
             region = backtrack(s, p.unsafe, p.name)
             if region is not None:
                 found.append((p.name, region))
-        safe_pair = None
-        if not found:
-            safe_pair = (np.array(s.input_vertices), np.array(s.current_vertices))
-        col.add_final(s, found, safe_pair)
+        col.add_final(s, found)
         return []
     if opts.use_filter and props:
         z = output_overapprox(net, s, s.layer_cursor, cap=opts.vzono_cap)
@@ -263,9 +261,9 @@ def _dfs_serial(net, roots, props, opts, col, gauge):
     return gauge.peak
 
 
-def _run_dfs(net, lb, ub, props, opts, collect_final=False):
+def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
     root = fvim.box_polytope(lb, ub)
-    col = _Collector(props, opts, collect_final)
+    col = _Collector(props, opts, collect_final, collect_safe)
     gauge = _LiveGauge(start=1)
     if opts.worker_count <= 1:
         try:
@@ -324,7 +322,8 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
 
     Returns {property name: canonically sorted regions}. When a list is passed
     as safe_collector it receives (input_vertices, output_vertices) pairs of
-    fully-propagated sets that are safe for all properties of their group.
+    fully-propagated sets that are safe for all properties of their group;
+    the arrays are the sets' own, so copy before writing to them.
     """
     opts = opts or ReachOptions()
     groups = {}
@@ -340,7 +339,10 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     regions = {}
     for group in groups.values():
         try:
-            col = _run_dfs(net, group[0].input_lb, group[0].input_ub, group, opts)
+            col = _run_dfs(
+                net, group[0].input_lb, group[0].input_ub, group, opts,
+                collect_safe=safe_collector is not None,
+            )
         except MaxSetsExceeded as exc:
             # carry everything found so far: finished groups plus this partial one
             partial = dict(regions)
@@ -364,13 +366,22 @@ def exact_output_domain(net, prop, opts=None, stats=None):
     return [np.array(s.current_vertices) for s in sets]
 
 
-def exact_final_sets(net, prop, opts=None, stats=None):
+def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     """Fully propagated tracked sets of the exact analysis, one per linear
-    region of the input box."""
+    region of the input box.
+
+    When a list is passed as `regions`, the same unpruned exploration also
+    backtracks every final set through the property's unsafe domain, and the
+    list receives the unsafe regions in canonical order. They are the regions
+    reach_unsafe returns: the filter prunes only subtrees that hold none.
+    """
     opts = replace(opts or ReachOptions(), use_filter=False)
-    col = _run_dfs(net, prop.input_lb, prop.input_ub, [], opts, collect_final=True)
+    props = [] if regions is None else [prop]
+    col = _run_dfs(net, prop.input_lb, prop.input_ub, props, opts, collect_final=True)
     if stats is not None:
         stats.merge_from(col.stats)
+    if regions is not None:
+        regions.extend(canonical_sort(col.regions[prop.name]))
     return sorted(
         col.final_sets, key=lambda s: (np.round(s.input_vertices, 12) + 0.0).tobytes()
     )

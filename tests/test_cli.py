@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from relurepair import fixtures as fx
-from relurepair.cli import main
+from relurepair.cli import _load_properties, main
 from relurepair.model import forward, load_nnet, save_nnet
+from relurepair.reach import ReachStats, exact_final_sets, projection_polygon, reach_unsafe
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,76 @@ class TestReach:
 
     def test_bad_projection_axes_exit_two(self, fixture_dir):
         assert run(["reach", "--net", fixture_dir / "toy_safe.nnet", "--props", fixture_dir / "toy_props.json", "--project", "0,9"]) == 2
+
+
+def two_pass_reach(net_path, props_path):
+    """`reach --dump-sets` output assembled from two explorations per
+    property: unfiltered final sets plus the filtered unsafe regions."""
+    net = load_nnet(str(net_path))
+    i, j = 0, 1
+    out = {"projection_axes": [i, j], "properties": []}
+    for prop in _load_properties(str(props_path)):
+        sets = [
+            {
+                "output_vertices": s.current_vertices.tolist(),
+                "projection": projection_polygon(s.current_vertices, i, j),
+                "input_vertices": s.input_vertices.tolist(),
+                "incidence": s.fvim.astype(int).tolist(),
+            }
+            for s in exact_final_sets(net, prop)
+        ]
+        regions = [
+            {
+                "property": r.property_name,
+                "input_vertices": r.input_poly.tolist(),
+                "output_vertices": r.output_poly.tolist(),
+                "projection": projection_polygon(r.output_poly, i, j),
+            }
+            for r in reach_unsafe(net, prop)
+        ]
+        out["properties"].append(
+            {"property": prop.name, "reachable_sets": sets, "unsafe_regions": regions}
+        )
+    return out
+
+
+class TestReachSinglePass:
+    CASES = [("bench.nnet", "bench_props.json"), ("toy_unsafe.nnet", "toy_props.json")]
+
+    @pytest.mark.parametrize("net_name,props_name", CASES)
+    def test_dump_equals_two_pass_assembly(self, fixture_dir, tmp_path, net_name, props_name):
+        net, props = fixture_dir / net_name, fixture_dir / props_name
+        out = tmp_path / "r.json"
+        assert run(["reach", "--net", net, "--props", props, "--dump-sets", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert data == json.loads(json.dumps(two_pass_reach(net, props)))
+        assert all(p["reachable_sets"] and p["unsafe_regions"] for p in data["properties"])
+
+    @pytest.mark.parametrize("net_name,props_name", CASES)
+    def test_each_property_explored_once(self, fixture_dir, tmp_path, monkeypatch, net_name, props_name):
+        explored = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                stats = ReachStats()
+                kwargs["stats"] = stats
+                result = fn(*args, **kwargs)
+                explored.append(stats.explored_sets)
+                return result
+            return wrapper
+
+        # every exploration the CLI starts goes through one of these two names
+        monkeypatch.setattr("relurepair.cli.exact_final_sets", counted(exact_final_sets))
+        monkeypatch.setattr("relurepair.cli.reach_unsafe", counted(reach_unsafe))
+        net, props = fixture_dir / net_name, fixture_dir / props_name
+        assert run(["reach", "--net", net, "--props", props, "--out", tmp_path / "r.json"]) == 0
+
+        unfiltered = []
+        for prop in _load_properties(str(props)):
+            stats = ReachStats()
+            exact_final_sets(load_nnet(str(net)), prop, stats=stats)
+            unfiltered.append(stats.explored_sets)
+        assert explored == unfiltered
 
 
 class TestRepair:

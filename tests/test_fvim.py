@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relurepair.fvim import (
+    ON_PLANE_TOL,
     DegenerateSetError,
     TrackedSet,
+    _dedupe_rows,
     affine_map,
     box_polytope,
     contains,
@@ -253,3 +257,205 @@ class TestFacetHalfspaces:
             hs = facet_halfspaces(part)
             pts = region_points(rng, part.input_vertices, 300)
             assert contains(hs, pts, tol=1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# The vectorised split against the per-pair loop it replaced. Children must be
+# bit-equal: same incidence, same vertex values, same row order.
+
+
+def reference_split(s, values):
+    """One Python iteration per negative x positive vertex pair."""
+    neg = values < -ON_PLANE_TOL
+    pos = values > ON_PLANE_TOL
+    on = ~neg & ~pos
+    d = s.input_dim
+    shared = s.fvim.T.astype(np.int32) @ s.fvim.astype(np.int32)
+    new_incidence, new_inputs, new_currents = [], [], []
+    for p in np.where(neg)[0]:
+        for q in np.where(pos)[0]:
+            if shared[p, q] < d - 1:
+                continue
+            t = values[p] / (values[p] - values[q])
+            new_inputs.append(s.input_vertices[p] + t * (s.input_vertices[q] - s.input_vertices[p]))
+            new_currents.append(s.current_vertices[p] + t * (s.current_vertices[q] - s.current_vertices[p]))
+            new_incidence.append(s.fvim[:, p] & s.fvim[:, q])
+
+    def child(keep):
+        cols = s.fvim[:, keep]
+        inputs = s.input_vertices[keep].copy()
+        currents = s.current_vertices[keep].copy()
+        if new_inputs:
+            cols = np.hstack([cols, np.stack(new_incidence, axis=1)])
+            inputs = np.vstack([inputs, new_inputs])
+            currents = np.vstack([currents, new_currents])
+        split_row = np.concatenate([on[keep], np.ones(len(new_inputs), dtype=bool)])
+        mat = np.vstack([cols, split_row])
+        mat = mat[mat.sum(axis=1) >= max(d, 1)]
+        seen, rows = set(), []
+        for r in range(mat.shape[0]):
+            if mat[r].tobytes() not in seen:
+                seen.add(mat[r].tobytes())
+                rows.append(r)
+        if inputs.shape[0] < d + 1:
+            return None
+        return TrackedSet(mat[rows], inputs, currents, s.layer_cursor)
+
+    return child(np.where(neg | on)[0]), child(np.where(pos | on)[0])
+
+
+def spans(values):
+    return values.min() < -ON_PLANE_TOL and values.max() > ON_PLANE_TOL
+
+
+def assert_bit_equal(got, want):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    for name in ("fvim", "input_vertices", "current_vertices"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    assert got.layer_cursor == want.layer_cursor
+
+
+def checked_split_by_neuron(s, i):
+    """split_by_neuron, checked against the reference when neuron i spans."""
+    got = split_by_neuron(s, i)
+    col = s.current_vertices[:, i]
+    if spans(col):
+        neg, pos = reference_split(s, col)
+        want = []
+        if neg is not None:
+            cur = neg.current_vertices.copy()
+            cur[:, i] = 0.0
+            want.append(TrackedSet(neg.fvim, neg.input_vertices, cur, neg.layer_cursor))
+        if pos is not None:
+            want.append(pos)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bit_equal(g, w)
+    return got
+
+
+def checked_keep_leq(s, alpha, beta):
+    """keep_leq, checked against the reference's negative child on a split."""
+    got = keep_leq(s, alpha, beta)
+    values = s.current_vertices @ alpha + beta
+    if spans(values):
+        assert_bit_equal(got, reference_split(s, values)[0])
+    return got
+
+
+# offsets that put vertex values exactly on, inside and just outside the
+# on-plane band around an integer
+TOL_OFFSETS = [0.0, 0.5 * ON_PLANE_TOL, -0.5 * ON_PLANE_TOL, 2 * ON_PLANE_TOL, -2 * ON_PLANE_TOL]
+
+
+@st.composite
+def box_split_chains(draw):
+    """A box of dimension 1-5 and a few integer affine maps to split it by."""
+    d = draw(st.integers(1, 5))
+    steps = []
+    cur_dim = d
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        w = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cur_dim, max_size=cur_dim),
+                          min_size=m, max_size=m))
+        b = [draw(st.integers(-2, 2)) + draw(st.sampled_from(TOL_OFFSETS)) for _ in range(m)]
+        steps.append((np.array(w, float), np.array(b)))
+        cur_dim = m
+    cut = draw(st.lists(st.integers(-2, 2), min_size=cur_dim, max_size=cur_dim))
+    cut_b = draw(st.integers(-2, 2)) + draw(st.sampled_from(TOL_OFFSETS))
+    return d, steps, np.array(cut, float), cut_b
+
+
+@st.composite
+def arbitrary_incidence_sets(draw):
+    """Small sets with any incidence pattern: the split only reads the
+    incidence matrix and the vertex values, so this reaches duplicate rows
+    and degenerate children that box splits rarely produce."""
+    d = draw(st.integers(1, 4))
+    nv = draw(st.integers(2, 8))
+    nf = draw(st.integers(1, 6))
+    fvim = np.array(draw(st.lists(st.lists(st.booleans(), min_size=nv, max_size=nv),
+                                  min_size=nf, max_size=nf)), dtype=bool)
+    inputs = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                    min_size=nv, max_size=nv)), float)
+    values = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 3.0] + TOL_OFFSETS),
+                                    min_size=nv, max_size=nv)))
+    currents = np.stack([values, inputs[:, 0] * 0.5], axis=1)
+    return TrackedSet(fvim, inputs, currents, 1)
+
+
+class TestSplitMatchesPairLoop:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=box_split_chains())
+    def test_box_split_chains(self, case):
+        d, steps, cut, cut_b = case
+        frontier = [box_polytope([-1.0] * d, [1.0] * d)]
+        for w, b in steps:
+            nxt = []
+            for cur in frontier:
+                sets = [affine_map(cur, w, b)]
+                for i in range(w.shape[0]):
+                    sets = [c for s in sets for c in checked_split_by_neuron(s, i)]
+                nxt.extend(sets)
+            frontier = nxt[:8]
+        for cur in frontier:
+            checked_keep_leq(cur, cut, cut_b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(s=arbitrary_incidence_sets())
+    def test_arbitrary_incidence(self, s):
+        checked_keep_leq(s, np.array([1.0, 0.0]), 0.0)
+        if s.num_vertices >= s.input_dim + 1:
+            checked_split_by_neuron(s, 0)
+
+    def test_one_dimensional_every_pair_is_an_edge(self):
+        # d - 1 = 0 shared facets: every negative/positive pair is an edge,
+        # even two vertices that share no facet row
+        s = TrackedSet(np.array([[1, 0, 0], [0, 1, 0]], bool),
+                       np.array([[-1.0], [2.0], [3.0]]), np.array([[-1.0], [2.0], [3.0]]), 0)
+        neg, pos = checked_split_by_neuron(s, 0)
+        assert neg.num_vertices == 3 and pos.num_vertices == 4
+        assert np.array_equal(pos.input_vertices[2:, 0], [0.0, 0.0])
+
+    def test_on_plane_vertices_shared_by_both_children(self):
+        for h in (0.5 * ON_PLANE_TOL, -0.5 * ON_PLANE_TOL):
+            s = affine_map(box_polytope([-1.0, -1.0], [1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([h]))
+            neg, pos = checked_split_by_neuron(s, 0)
+            # the two anti-diagonal corners lie within tolerance of the plane
+            assert neg.num_vertices == pos.num_vertices == 3
+            both = as_row_set(neg.input_vertices) & as_row_set(pos.input_vertices)
+            assert both == {(-1, 1), (1, -1)}
+
+    def test_split_through_a_vertex(self):
+        s = box_polytope([-1.0] * 3, [1.0] * 3)
+        cut = checked_keep_leq(s, np.array([1.0, 1.0, 1.0]), -1.0)
+        # x0 + x1 + x2 = 1 passes through the three corners with one -1
+        on = np.isclose(cut.input_vertices.sum(axis=1), 1.0)
+        assert on.sum() == 3 and cut.num_vertices == 7
+
+    def test_degenerate_child_discarded(self, caplog):
+        # vertex 0 shares no facet with any positive vertex: no edge leaves
+        # it, so the negative side is a single vertex of a 2-d set
+        fvim = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]], bool)
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        s = TrackedSet(fvim, verts, np.array([[-1.0], [1.0], [1.0], [1.0]]), 0)
+        with caplog.at_level("WARNING", logger="relurepair.fvim"):
+            (pos,) = checked_split_by_neuron(s, 0)
+        assert "degenerate" in caplog.text
+        assert pos.num_vertices == 3
+        assert checked_keep_leq(s, np.array([1.0]), 0.0) is None
+
+    def test_duplicate_rows_dropped_in_first_occurrence_order(self):
+        # facets 0 and 1 differ only at vertex 0, which the negative child drops
+        s = TrackedSet(np.array([[1, 0, 1], [0, 0, 1]], bool),
+                       np.array([[2.0], [-1.0], [0.0]]), np.array([[2.0], [-1.0], [0.0]]), 0)
+        neg, _ = checked_split_by_neuron(s, 0)
+        assert neg.fvim.astype(int).tolist() == [[0, 1, 0], [0, 1, 1]]
+        rows = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]], bool)
+        assert _dedupe_rows(rows).astype(int).tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+        head = rows[:2]
+        assert _dedupe_rows(head) is head
