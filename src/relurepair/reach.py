@@ -72,15 +72,31 @@ class SafetyProperty:
 
 @dataclass(frozen=True)
 class UnsafeRegion:
-    """One unsafe input polytope paired with its output polytope, row by row."""
+    """One unsafe input polytope paired with its output polytope, row by row.
+
+    input_halfspaces: bounding halfspaces (A, b), A x + b <= 0, of the input
+        polytope. May be passed in; otherwise left None until the first
+        contains_inputs call fits them from `incidence` and caches them here.
+    incidence: bool facet-vertex incidence matrix over the rows of
+        input_poly (the restricted set's fvim), from which the halfspaces
+        are fitted. Exploration only fills this field, so regions that are
+        never tested for membership pay no fit.
+    """
 
     input_poly: np.ndarray
     output_poly: np.ndarray
     property_name: str
-    # bounding halfspaces (A, b) of the input polytope, derived from facets
     input_halfspaces: tuple = None
+    incidence: np.ndarray = None
 
     def contains_inputs(self, points, tol=1e-9):
+        if self.input_halfspaces is None:
+            if self.incidence is None:
+                raise ValueError(
+                    "region has neither input_halfspaces nor an incidence matrix to fit them from"
+                )
+            s = fvim.TrackedSet(self.incidence, self.input_poly, self.output_poly)
+            object.__setattr__(self, "input_halfspaces", fvim.facet_halfspaces(s))
         return fvim.contains(self.input_halfspaces, points, tol)
 
 
@@ -170,7 +186,10 @@ def backtrack(s, unsafe, property_name=""):
     """Intersect a fully propagated set with the unsafe output domain and pull
     the result back to input space through the tracked vertices.
 
-    Returns the unsafe region, or None when the set misses the domain.
+    Returns the unsafe region, or None when the set misses the domain. The
+    region shares the restricted set's arrays, which are never written again
+    (a fresh keep_leq child, or the final set itself), and carries its
+    incidence matrix instead of fitted halfspaces.
     """
     rest = s
     for a, b in unsafe.constraints:
@@ -178,10 +197,10 @@ def backtrack(s, unsafe, property_name=""):
         if rest is None:
             return None
     return UnsafeRegion(
-        input_poly=np.array(rest.input_vertices),
-        output_poly=np.array(rest.current_vertices),
+        input_poly=rest.input_vertices,
+        output_poly=rest.current_vertices,
         property_name=property_name,
-        input_halfspaces=fvim.facet_halfspaces(rest),
+        incidence=rest.fvim,
     )
 
 
@@ -320,10 +339,12 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     an input box into one exploration; a branch is pruned only when provably
     safe for every property of its group.
 
-    Returns {property name: canonically sorted regions}. When a list is passed
-    as safe_collector it receives (input_vertices, output_vertices) pairs of
-    fully-propagated sets that are safe for all properties of their group;
-    the arrays are the sets' own, so copy before writing to them.
+    Returns {property name: canonically sorted regions}. The regions carry
+    no fitted halfspaces until they are asked for: each fits them on its
+    first contains_inputs call. When a list is passed as safe_collector it
+    receives (input_vertices, output_vertices) pairs of fully-propagated
+    sets that are safe for all properties of their group; the arrays are
+    the sets' own, so copy before writing to them.
     """
     opts = opts or ReachOptions()
     groups = {}

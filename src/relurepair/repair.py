@@ -76,6 +76,12 @@ class IterationRecord:
     wall_time_s: float
     # per property: {"reachable": [polygon, ...], "unsafe": [polygon, ...]}
     projections: dict | None = None
+    # corrected unsafe pairs and sampled safe pairs merged this iteration, and
+    # the training pool size after the merge; once every property verifies
+    # safe while the accuracy gate fails, the counts are 0 and the pool is flat
+    pairs_corrected: int = 0
+    safe_pairs_merged: int = 0
+    pool_size: int = 0
 
 
 @dataclass
@@ -91,6 +97,9 @@ class RepairReport:
                 "unsafe_region_counts": dict(rec.unsafe_region_counts),
                 "unsafe_volume_ratios": {k: float(v) for k, v in rec.unsafe_volume_ratios.items()},
                 "accuracy": float(rec.accuracy),
+                "pairs_corrected": rec.pairs_corrected,
+                "safe_pairs_merged": rec.safe_pairs_merged,
+                "pool_size": rec.pool_size,
             }
             if rec.projections is not None:
                 entry["projections"] = rec.projections
@@ -163,6 +172,9 @@ class _TrainingPool:
         self.ys = [np.array(y) for y in data.targets]
         self.index = {self._key(x): i for i, x in enumerate(self.xs)}
 
+    def __len__(self):
+        return len(self.xs)
+
     @staticmethod
     def _key(x):
         return (np.round(x, 9) + 0.0).tobytes()
@@ -233,7 +245,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
                     "reachable": [projection_polygon(o, i, j) for o in outs],
                     "unsafe": [projection_polygon(r.output_poly, i, j) for r in regions[p.name]],
                 }
-        record = IterationRecord(it, counts, ratios, acc, 0.0, projections)
+        record = IterationRecord(it, counts, ratios, acc, 0.0, projections, pool_size=len(pool))
         report.iterations.append(record)
 
         if all(c == 0 for c in counts.values()):
@@ -262,6 +274,9 @@ def repair(net, properties, train_data, test_data, cfg=None):
 
         pool.upsert(safe_pairs)
         pool.upsert(corrected)  # corrected targets win collisions
+        record.pairs_corrected = len(corrected)
+        record.safe_pairs_merged = len(safe_pairs)
+        record.pool_size = len(pool)
         try:
             candidate = train(candidate, pool.dataset(), cfg.train)
         except TrainingDivergedError as exc:

@@ -8,13 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relurepair import fixtures as fx
-from relurepair.fvim import ON_PLANE_TOL, affine_map, box_polytope, contains, facet_halfspaces, split_by_neuron
+from relurepair import fvim
+from relurepair.cli import main as cli_main
+from relurepair.fvim import (
+    ON_PLANE_TOL,
+    affine_map,
+    box_polytope,
+    contains,
+    facet_halfspaces,
+    keep_leq,
+    split_by_neuron,
+)
 from relurepair.model import IDENTITY, RELU, Layer, Network, forward, forward_batch
 from relurepair.reach import (
     MaxSetsExceeded,
     ReachOptions,
     SafetyProperty,
     UnsafeDomain,
+    UnsafeRegion,
     backtrack,
     exact_final_sets,
     exact_output_domain,
@@ -23,6 +34,7 @@ from relurepair.reach import (
     reach_unsafe,
     reach_unsafe_all,
 )
+from relurepair.repair import unsafe_volume_ratio
 from relurepair.vzono import support
 
 from conftest import fit_affine, region_points
@@ -314,6 +326,102 @@ class TestReachUnsafe:
             safe_collector=safe_exact,
         )
         assert len(safe_exact) == 1
+
+
+def lazy_fit_cases():
+    cases = [
+        (fx.toy_unsafe_network(), fx.toy_property()),
+        (fx.bench_network(), fx.bench_property()),
+    ]
+    cases += [(fx.collision_avoidance_network(), p) for p in fx.collision_avoidance_properties()]
+    cases.append((fx.random_network([3, 6, 6, 2], seed=27), unit_prop(3, single_constraint([1.0, -1.0]))))
+    return cases
+
+
+def eagerly_fitted_halfspaces(net, prop):
+    """Halfspaces fitted as soon as each final set is restricted to the unsafe
+    domain, keyed by the restricted set's exact input vertices."""
+    fitted = {}
+    for s in exact_final_sets(net, prop):
+        rest = s
+        for a, b in prop.unsafe.constraints:
+            rest = keep_leq(rest, a, b)
+            if rest is None:
+                break
+        if rest is not None:
+            fitted[rest.input_vertices.tobytes()] = facet_halfspaces(rest)
+    return fitted
+
+
+class TestLazyFacetFit:
+    @pytest.mark.parametrize("case", range(len(lazy_fit_cases())))
+    def test_cached_fit_matches_eager_fit(self, case):
+        net, prop = lazy_fit_cases()[case]
+        regions = reach_unsafe(net, prop)
+        eager = eagerly_fitted_halfspaces(net, prop)
+        assert sorted(eager) == sorted(r.input_poly.tobytes() for r in regions)
+        rng = np.random.default_rng(case)
+        box_pts = rng.uniform(prop.input_lb, prop.input_ub, size=(300, len(prop.input_lb)))
+        for region in regions:
+            assert region.input_halfspaces is None
+            a_want, b_want = eager[region.input_poly.tobytes()]
+            # the region's own vertices sit on the tolerance boundary
+            pts = np.vstack([box_pts, region.input_poly, region_points(rng, region.input_poly, 50)])
+            first = region.contains_inputs(pts)
+            a_got, b_got = region.input_halfspaces
+            assert np.array_equal(a_got, a_want) and np.array_equal(b_got, b_want)
+            assert np.array_equal(first, contains((a_want, b_want), pts, 1e-9))
+            for tol in (-1e-6, 0.0, 1e-6):
+                assert np.array_equal(
+                    region.contains_inputs(pts, tol=tol), contains((a_want, b_want), pts, tol)
+                )
+            assert region.input_halfspaces[0] is a_got
+
+    def test_region_without_halfspaces_or_incidence_raises(self):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="incidence"):
+            UnsafeRegion(tri, tri, "p").contains_inputs([[0.1, 0.1]])
+
+
+class TestFacetFitOnlyOnMembership:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The incidence matrix of every set that facet_halfspaces fits."""
+        calls = []
+        real = fvim.facet_halfspaces
+
+        def spy(s):
+            calls.append(s.fvim)
+            return real(s)
+
+        monkeypatch.setattr(fvim, "facet_halfspaces", spy)
+        return calls
+
+    def test_reach_unsafe_fits_nothing(self, fits):
+        for net, prop in lazy_fit_cases():
+            reach_unsafe(net, prop)
+        assert fits == []
+
+    def test_cli_verify_and_reach_fit_nothing(self, fits, tmp_path):
+        assert cli_main(["fixtures", "--out", str(tmp_path), "--seed", "0"]) == 0
+        for net_name, props_name in [("toy_unsafe.nnet", "toy_props.json"), ("bench.nnet", "bench_props.json")]:
+            files = ["--net", str(tmp_path / net_name), "--props", str(tmp_path / props_name)]
+            assert cli_main(["verify", *files, "--out", str(tmp_path / "v.json")]) == 1
+            assert cli_main(["reach", *files, "--dump-sets", "--out", str(tmp_path / "r.json")]) == 0
+        assert fits == []
+
+    def test_volume_ratio_fits_each_region_at_most_once(self, fits):
+        net, prop = lazy_fit_cases()[-1]
+        regions = reach_unsafe(net, prop)
+        box = (prop.input_lb, prop.input_ub)
+        first = unsafe_volume_ratio(regions, box, 2000, seed=1)
+        n_first = len(fits)
+        assert 0 < n_first <= len(regions)
+        second = unsafe_volume_ratio(regions, box, 2000, seed=1)
+        assert second == first
+        ids = [id(f) for f in fits]
+        assert len(ids) == len(set(ids)) <= len(regions)
+        assert all(any(f is r.incidence for r in regions) for f in fits)
 
 
 class TestExactOutputDomain:

@@ -244,6 +244,34 @@ class TestRepair:
         _, r2 = repair(candidate, [prop], train_data, test_data, cfg)
         assert r1.to_dict(include_timing=False) == r2.to_dict(include_timing=False)
 
+    def test_stall_after_verifying_safe_is_visible_in_records(self):
+        # once the candidate verifies safe but the gate fails, nothing is
+        # corrected, so nothing is merged and the loop retrains on a fixed pool
+        candidate, prop, train_data, test_data = desk_repair_fixture()
+        cfg = RepairConfig(
+            epsilon=1.0,  # impossible accuracy gain
+            max_iterations=10,
+            train=TrainConfig(learning_rate=0.05, batch_size=32, epochs_per_iteration=5, seed=1),
+        )
+        _, report = repair(candidate, [prop], train_data, test_data, cfg)
+        assert report.verdict == EXHAUSTED
+        recs = report.iterations
+        first_safe = next(i for i, r in enumerate(recs) if r.unsafe_region_counts[prop.name] == 0)
+        assert 0 < first_safe < len(recs) - 1
+        assert recs[0].pairs_corrected > 0
+        assert recs[0].pool_size == len(train_data) + recs[0].pairs_corrected + recs[0].safe_pairs_merged
+        stalled_pool = recs[first_safe - 1].pool_size
+        for rec in recs[first_safe:]:
+            assert rec.pairs_corrected == 0
+            assert rec.safe_pairs_merged == 0
+            assert rec.pool_size == stalled_pool
+        entry = report.to_dict(include_timing=False)["iterations"][-1]
+        assert (entry["pairs_corrected"], entry["safe_pairs_merged"], entry["pool_size"]) == (
+            0,
+            0,
+            stalled_pool,
+        )
+
     def test_volume_ratio_recorded_in_unit_interval(self):
         candidate, prop, train_data, test_data = desk_repair_fixture()
         cfg = RepairConfig(
