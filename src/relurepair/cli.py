@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,9 +205,7 @@ def cmd_bench(spec):
     for prop in props:
         row = {"property": prop.name}
         for label, use_filter in (("filtered", True), ("unfiltered", False)):
-            opts = ReachOptions(
-                use_filter=use_filter, worker_count=base.worker_count, max_sets=base.max_sets
-            )
+            opts = replace(base, use_filter=use_filter)
             stats = ReachStats()
             t0 = time.monotonic()
             regions = reach_unsafe(net, prop, opts, stats)

@@ -201,8 +201,10 @@ def load_nnet(path):
     for k in range(num_layers):
         rows, cols = sizes[k + 1], sizes[k]
         w = np.empty((rows, cols))
+        row_lines = []  # line of each weight row, then of each bias row
         for r in range(rows):
             vals = _parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
             if len(vals) != cols:
                 raise NNetFormatError(
                     f"line {lineno}: layer {k} weight row {r} has {len(vals)} values, expected {cols}"
@@ -211,11 +213,18 @@ def load_nnet(path):
         b = np.empty(rows)
         for r in range(rows):
             vals = _parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
             if len(vals) != 1:
                 raise NNetFormatError(
                     f"line {lineno}: layer {k} bias row {r} has {len(vals)} values, expected 1"
                 )
             b[r] = vals[0]
+        # float() parses "nan" and "inf"; one check per layer rejects them
+        finite = np.concatenate([np.isfinite(w).all(axis=1), np.isfinite(b)])
+        if not finite.all():
+            raise NNetFormatError(
+                f"line {row_lines[int(np.argmin(finite))]}: layer {k} has a non-finite value"
+            )
         act = IDENTITY if k == num_layers - 1 else RELU
         layers.append(Layer(w, b, act))
 

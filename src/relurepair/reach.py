@@ -9,8 +9,6 @@ the union of discovered unsafe regions unchanged.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,9 +28,12 @@ class UnsafeDomain:
         cons = []
         for a, b in constraints:
             a = np.asarray(a, float)
+            b = float(b)
+            if not (np.isfinite(a).all() and np.isfinite(b)):
+                raise ValueError("constraint coefficients must be finite")
             if not np.any(a):
                 raise ValueError("constraint normal must be nonzero")
-            cons.append((a, float(b)))
+            cons.append((a, b))
         object.__setattr__(self, "constraints", tuple(cons))
 
     def holds(self, y, tol=0.0):
@@ -60,6 +61,8 @@ class SafetyProperty:
         ub = np.asarray(input_ub, float)
         if lb.shape != ub.shape or lb.ndim != 1:
             raise ValueError("input bounds must be vectors of equal length")
+        if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+            raise ValueError("input bounds must be finite")
         if not (lb < ub).all():
             raise ValueError("input_lb must be strictly below input_ub componentwise")
         if not unsafe.constraints:
@@ -102,6 +105,13 @@ class UnsafeRegion:
 
 @dataclass(frozen=True)
 class ReachOptions:
+    """Exploration settings.
+
+    The engine is serial: worker_count is accepted and validated for
+    compatibility with existing callers, and every value runs the same
+    single depth-first loop with the same results and stats.
+    """
+
     use_filter: bool = True
     worker_count: int = 1
     max_sets: int = 10**6
@@ -204,124 +214,62 @@ def backtrack(s, unsafe, property_name=""):
     )
 
 
-class _LiveGauge:
-    """Counts sets held for later processing; tracks the high-water mark."""
+def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
+    """Explore the input box depth-first, one stack of tracked sets.
 
-    def __init__(self, start=0):
-        self.current = start
-        self.peak = start
+    Returns (regions by property name, safe (input, output) vertex pairs or
+    None, final sets or None, ReachStats). peak_live_sets is the high-water
+    mark of the stack, counting the root. Past opts.max_sets explored sets
+    it raises MaxSetsExceeded carrying the regions and stats so far.
 
-    def note(self, delta):
-        self.current += delta
-        if self.current > self.peak:
-            self.peak = self.current
-
-
-class _Collector:
-    """Shared result sink for DFS branches; the one mutex in the engine."""
-
-    def __init__(self, props, opts, collect_final, collect_safe):
-        self.lock = threading.Lock()
-        self.regions = {p.name: [] for p in props}
-        self.safe_sets = [] if collect_safe else None
-        self.final_sets = [] if collect_final else None
-        self.stats = ReachStats()
-        self.opts = opts
-
-    def note_explored(self):
-        with self.lock:
-            self.stats.explored_sets += 1
-            if self.stats.explored_sets > self.opts.max_sets:
-                raise MaxSetsExceeded(self.opts.max_sets, self.regions, self.stats)
-
-    def note_pruned(self):
-        with self.lock:
-            self.stats.pruned_sets += 1
-
-    def add_final(self, s, found):
-        with self.lock:
-            self.stats.final_sets += 1
-            for name, region in found:
-                self.regions[name].append(region)
-            if not found and self.safe_sets is not None:
-                # a final set's arrays are never written again: no copy
-                self.safe_sets.append((s.input_vertices, s.current_vertices))
-            if self.final_sets is not None:
-                self.final_sets.append(s)
-
-
-def _process_node(net, s, props, opts, col):
-    """Handle one DFS node; returns the children still to explore."""
-    col.note_explored()
-    if s.layer_cursor == net.num_layers:
-        found = []
-        for p in props:
-            region = backtrack(s, p.unsafe, p.name)
-            if region is not None:
-                found.append((p.name, region))
-        col.add_final(s, found)
-        return []
-    if opts.use_filter and props:
-        z = output_overapprox(net, s, s.layer_cursor, cap=opts.vzono_cap)
-        if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
-            col.note_pruned()
-            return []
-    return layer_output(net, s, s.layer_cursor)
-
-
-def _dfs_serial(net, roots, props, opts, col, gauge):
-    stack = list(roots)
+    layer_output, output_overapprox and backtrack are called through their
+    module-global names, so a tracer that replaces them sees every call.
+    """
+    regions = {p.name: [] for p in props}
+    safe_sets = [] if collect_safe else None
+    final_sets = [] if collect_final else None
+    stats = ReachStats(peak_live_sets=1)
+    stack = [fvim.box_polytope(lb, ub)]
     while stack:
         s = stack.pop()
-        gauge.note(-1)
-        children = _process_node(net, s, props, opts, col)
-        stack.extend(children)
-        gauge.note(len(children))
-    return gauge.peak
+        stats.explored_sets += 1
+        if stats.explored_sets > opts.max_sets:
+            raise MaxSetsExceeded(opts.max_sets, regions, stats)
+        if s.layer_cursor == net.num_layers:
+            stats.final_sets += 1
+            safe = True
+            for p in props:
+                region = backtrack(s, p.unsafe, p.name)
+                if region is not None:
+                    regions[p.name].append(region)
+                    safe = False
+            if safe and safe_sets is not None:
+                # a final set's arrays are never written again: no copy
+                safe_sets.append((s.input_vertices, s.current_vertices))
+            if final_sets is not None:
+                final_sets.append(s)
+            continue
+        if opts.use_filter and props:
+            z = output_overapprox(net, s, s.layer_cursor, cap=opts.vzono_cap)
+            if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
+                stats.pruned_sets += 1
+                continue
+        stack.extend(layer_output(net, s, s.layer_cursor))
+        stats.peak_live_sets = max(stats.peak_live_sets, len(stack))
+    return regions, safe_sets, final_sets, stats
 
 
-def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
-    root = fvim.box_polytope(lb, ub)
-    col = _Collector(props, opts, collect_final, collect_safe)
-    gauge = _LiveGauge(start=1)
-    if opts.worker_count <= 1:
-        try:
-            _dfs_serial(net, [root], props, opts, col, gauge)
-        finally:
-            col.stats.peak_live_sets = gauge.peak
-        return col
-    # grow a frontier of independent branches, then fan out to workers
-    frontier = [root]
-    target = 4 * opts.worker_count
-    while frontier and len(frontier) < target:
-        s = frontier.pop(0)
-        gauge.note(-1)
-        children = _process_node(net, s, props, opts, col)
-        frontier.extend(children)
-        gauge.note(len(children))
-    peak = gauge.peak
-    if frontier:
-        with ThreadPoolExecutor(max_workers=opts.worker_count) as pool:
-            futures = [
-                pool.submit(_dfs_serial, net, [s], props, opts, col, _LiveGauge(start=1))
-                for s in frontier
-            ]
-            branch_peaks = [f.result() for f in futures]
-        # schedule-independent high-water: branches drained in submission
-        # order while the rest of the frontier waits
-        n = len(frontier)
-        peak = max([peak] + [n - 1 - i + p for i, p in enumerate(branch_peaks)])
-    col.stats.peak_live_sets = peak
-    return col
+def _vertex_key(vertices):
+    """Bytes of the vertex rows rounded to 1e-12, with -0.0 folded into 0.0."""
+    return (np.round(vertices, 12) + 0.0).tobytes()
 
 
 def _canonical_key(region):
-    arr = np.round(region.input_poly, 12) + 0.0
-    return (arr.shape[0], arr.tobytes())
+    return (region.input_poly.shape[0], _vertex_key(region.input_poly))
 
 
 def canonical_sort(regions):
-    """Schedule-independent ordering: lexicographic by rounded vertex values."""
+    """Canonical ordering: by vertex count, then by rounded vertex values."""
     return sorted(regions, key=_canonical_key)
 
 
@@ -360,7 +308,7 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     regions = {}
     for group in groups.values():
         try:
-            col = _run_dfs(
+            found, safe_sets, _, group_stats = _run_dfs(
                 net, group[0].input_lb, group[0].input_ub, group, opts,
                 collect_safe=safe_collector is not None,
             )
@@ -372,11 +320,11 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
             exc.regions = partial
             raise
         for p in group:
-            regions[p.name] = canonical_sort(col.regions[p.name])
+            regions[p.name] = canonical_sort(found[p.name])
         if safe_collector is not None:
-            safe_collector.extend(col.safe_sets)
+            safe_collector.extend(safe_sets)
         if stats is not None:
-            stats.merge_from(col.stats)
+            stats.merge_from(group_stats)
     return regions
 
 
@@ -398,14 +346,14 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     """
     opts = replace(opts or ReachOptions(), use_filter=False)
     props = [] if regions is None else [prop]
-    col = _run_dfs(net, prop.input_lb, prop.input_ub, props, opts, collect_final=True)
-    if stats is not None:
-        stats.merge_from(col.stats)
-    if regions is not None:
-        regions.extend(canonical_sort(col.regions[prop.name]))
-    return sorted(
-        col.final_sets, key=lambda s: (np.round(s.input_vertices, 12) + 0.0).tobytes()
+    found, _, final_sets, run_stats = _run_dfs(
+        net, prop.input_lb, prop.input_ub, props, opts, collect_final=True
     )
+    if stats is not None:
+        stats.merge_from(run_stats)
+    if regions is not None:
+        regions.extend(canonical_sort(found[prop.name]))
+    return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices))
 
 
 def projection_polygon(points, i, j):
@@ -415,11 +363,13 @@ def projection_polygon(points, i, j):
     pts = np.unique(np.round(pts, 12) + 0.0, axis=0)
     if pts.shape[0] <= 2:
         return pts.tolist()
-    try:
-        from scipy.spatial import ConvexHull
+    # imported here: loading scipy.spatial adds tens of MB and tenths of a
+    # second to processes that never draw a polygon (verify, plain repair)
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         return pts[ConvexHull(pts).vertices].tolist()
-    except Exception:  # collinear points: qhull has no 2-d hull to build
+    except QhullError:  # collinear points: qhull has no 2-d hull to build
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         return [pts[order[0]].tolist(), pts[order[-1]].tolist()]
 

@@ -109,6 +109,11 @@ class RepairReport:
         return out
 
 
+def _input_key(x):
+    """Hashable key of an input vertex rounded to 1e-9, -0.0 folded into 0.0."""
+    return (np.round(x, 9) + 0.0).tobytes()
+
+
 def representative_pairs(regions):
     """Vertex pairs (input row, output row) of the given regions, de-duplicated
     across regions by input vertex (1e-9 tolerance)."""
@@ -116,7 +121,7 @@ def representative_pairs(regions):
     pairs = []
     for region in regions:
         for x, y in zip(region.input_poly, region.output_poly):
-            key = (np.round(x, 9) + 0.0).tobytes()
+            key = _input_key(x)
             if key in seen:
                 continue
             seen.add(key)
@@ -170,18 +175,14 @@ class _TrainingPool:
     def __init__(self, data):
         self.xs = [np.array(x) for x in data.inputs]
         self.ys = [np.array(y) for y in data.targets]
-        self.index = {self._key(x): i for i, x in enumerate(self.xs)}
+        self.index = {_input_key(x): i for i, x in enumerate(self.xs)}
 
     def __len__(self):
         return len(self.xs)
 
-    @staticmethod
-    def _key(x):
-        return (np.round(x, 9) + 0.0).tobytes()
-
     def upsert(self, pairs):
         for x, y in pairs:
-            key = self._key(x)
+            key = _input_key(x)
             if key in self.index:
                 i = self.index[key]
                 self.xs[i] = np.array(x)

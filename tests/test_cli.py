@@ -72,6 +72,16 @@ class TestReach:
     def test_bad_projection_axes_exit_two(self, fixture_dir):
         assert run(["reach", "--net", fixture_dir / "toy_safe.nnet", "--props", fixture_dir / "toy_props.json", "--project", "0,9"]) == 2
 
+    def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "toy_unsafe.nnet").read_text().splitlines()
+        lines[8] = "nan," + lines[8].split(",", 1)[1]  # first weight row
+        net = tmp_path / "nan.nnet"
+        net.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        assert run(["reach", "--net", net, "--props", fixture_dir / "toy_props.json", "--out", out]) == 2
+        assert "line 9: layer 0 has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def two_pass_reach(net_path, props_path):
     """`reach --dump-sets` output assembled from two explorations per

@@ -96,6 +96,29 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError, match="line 9"):
             load_nnet(p)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_non_finite_weight_reports_line(self, tmp_path, token):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 3, 2], [np.eye(3, 2), np.eye(2, 3)], [np.zeros(3), np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[15] = f"0.0,{token},0.0,"  # second weight row of layer 1
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="line 16: layer 1 has a non-finite value"):
+            load_nnet(p)
+
+    def test_non_finite_bias_reports_line(self, tmp_path):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 3, 2], [np.eye(3, 2), np.eye(2, 3)], [np.zeros(3), np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[13] = "nan,"  # last bias row of layer 0
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="line 14: layer 0 has a non-finite value"):
+            load_nnet(p)
+        text[9] = "inf,0.0,"  # second weight row of layer 0: the first bad row
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="line 10: layer 0 has a non-finite value"):
+            load_nnet(p)
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "bad.nnet"
         write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)])

@@ -23,6 +23,7 @@ from relurepair.model import IDENTITY, RELU, Layer, Network, forward, forward_ba
 from relurepair.reach import (
     MaxSetsExceeded,
     ReachOptions,
+    ReachStats,
     SafetyProperty,
     UnsafeDomain,
     UnsafeRegion,
@@ -31,6 +32,7 @@ from relurepair.reach import (
     exact_output_domain,
     layer_output,
     output_overapprox,
+    projection_polygon,
     reach_unsafe,
     reach_unsafe_all,
 )
@@ -293,6 +295,26 @@ class TestReachUnsafe:
             runs.append((stats.explored_sets, stats.pruned_sets, stats.peak_live_sets))
         assert runs[0] == runs[1] == runs[2]
 
+    def test_max_sets_keeps_finished_and_partial_groups(self):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        unsafe = single_constraint([1.0, -1.0])
+        small = SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], unsafe)
+        full = unit_prop(2, unsafe, name="full")
+        opts = ReachOptions(use_filter=False)
+        solo = {p.name: [r.input_poly.tobytes() for r in reach_unsafe(net, p, opts)]
+                for p in (small, full)}
+        with pytest.raises(MaxSetsExceeded) as err:
+            # the small box's group needs 52 sets, the full box's 92
+            reach_unsafe_all(net, [small, full], replace(opts, max_sets=60))
+        exc = err.value
+        assert exc.stats.explored_sets == 60 + 1
+        assert exc.stats.peak_live_sets >= 1
+        # the finished group carries all its regions, the partial one some
+        assert [r.input_poly.tobytes() for r in exc.regions["small"]] == solo["small"]
+        partial = [r.input_poly.tobytes() for r in exc.regions["full"]]
+        assert 0 < len(partial) < len(solo["full"])
+        assert set(partial) <= set(solo["full"])
+
     def test_grouped_properties_match_solo_runs(self):
         net = fx.random_network([2, 6, 4, 3], seed=23)
         p1 = unit_prop(2, single_constraint([1.0, -1.0, 0.0]), name="a")
@@ -326,6 +348,68 @@ class TestReachUnsafe:
             safe_collector=safe_exact,
         )
         assert len(safe_exact) == 1
+
+
+class TestSerialEngineCounters:
+    """Counters of the depth-first loop on fixed nets, unsafe y0 - y1 <= 0
+    over [-1, 1]^d. Every worker_count runs the same serial loop."""
+
+    @pytest.mark.parametrize("worker_count", [1, 8])
+    @pytest.mark.parametrize(
+        "sizes, seed, use_filter, want",
+        [
+            # (explored, pruned, final, peak live) sets, then unsafe regions
+            ([5, 8, 8, 5], 3, True, (2621, 1283, 613, 235, 613)),
+            ([5, 8, 8, 5], 3, False, (4713, 0, 2254, 235, 613)),
+            ([2, 5, 4, 2], 21, True, (67, 11, 23, 17, 23)),
+            ([2, 5, 4, 2], 21, False, (92, 0, 38, 17, 23)),
+            ([3, 7, 6, 2], 55, True, (416, 17, 173, 54, 173)),
+            ([3, 7, 6, 2], 55, False, (433, 0, 190, 54, 173)),
+        ],
+    )
+    def test_pinned_counters(self, sizes, seed, use_filter, want, worker_count):
+        net = fx.random_network(sizes, seed=seed)
+        a = np.zeros(sizes[-1])
+        a[:2] = [1.0, -1.0]
+        prop = unit_prop(sizes[0], single_constraint(a))
+        stats = ReachStats()
+        opts = ReachOptions(use_filter=use_filter, worker_count=worker_count)
+        regions = reach_unsafe(net, prop, opts, stats)
+        got = (stats.explored_sets, stats.pruned_sets, stats.final_sets,
+               stats.peak_live_sets, len(regions))
+        assert got == want
+
+
+class TestProjectionPolygon:
+    def test_triangle_keeps_hull_vertices(self):
+        pts = np.array([[0.0, 0.0, 7.0], [2.0, 0.0, 7.0], [0.0, 2.0, 7.0], [0.5, 0.5, 7.0]])
+        got = projection_polygon(pts, 0, 1)
+        assert sorted(map(tuple, got)) == [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0)]
+
+    def test_collinear_points_collapse_to_lexicographic_extremes(self):
+        pts = np.array([[1.0, 9.0, 2.0], [0.0, 9.0, 0.0], [2.0, 9.0, 4.0], [0.5, 9.0, 1.0]])
+        assert projection_polygon(pts, 0, 2) == [[0.0, 0.0], [2.0, 4.0]]
+        # on a vertical line the first axis ties and the second orders
+        vertical = np.array([[0.0, 1.0], [0.0, -3.0], [0.0, 2.0]])
+        assert projection_polygon(vertical, 0, 1) == [[0.0, -3.0], [0.0, 2.0]]
+
+    def test_non_qhull_errors_propagate(self):
+        pts = np.array([[np.nan, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError):
+            projection_polygon(pts, 0, 1)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unsafe_domain_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            UnsafeDomain([(np.array([1.0, bad]), 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            UnsafeDomain([(np.array([1.0, -1.0]), bad)])
+
+    def test_property_rejects_infinite_bounds(self):
+        with pytest.raises(ValueError, match="finite"):
+            SafetyProperty("p", [-np.inf, -1.0], [1.0, 1.0], single_constraint([1.0, 0.0]))
 
 
 def lazy_fit_cases():
