@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,16 +28,6 @@ from .reach import (
     reach_unsafe,
 )
 from .repair import REPAIRED, RepairConfig, repair
-
-
-@dataclass
-class RunSpec:
-    """One resolved CLI invocation."""
-
-    command: str
-    network_path: str = None
-    property_path: str = None
-    options: dict = field(default_factory=dict)
 
 
 def _load_properties(path):
@@ -79,25 +69,25 @@ def _emit(obj, out_path):
         sys.stdout.write(text)
 
 
-def _reach_options(opts):
+def _reach_options(args):
     return ReachOptions(
-        use_filter=opts.get("filter", "on") == "on",
-        worker_count=opts.get("workers", 1),
-        max_sets=opts.get("max_sets", 10**6),
+        use_filter=args.filter == "on",
+        worker_count=args.workers,
+        max_sets=args.max_sets,
     )
 
 
-def _projection_axes(opts, output_dim):
-    i, j = opts.get("project", (0, 1 if output_dim > 1 else 0))
+def _projection_axes(args, output_dim):
+    i, j = args.project if args.project is not None else (0, 1 if output_dim > 1 else 0)
     if i >= output_dim or j >= output_dim:
         raise ValueError(f"projection axes ({i},{j}) out of range for {output_dim} outputs")
     return i, j
 
 
-def cmd_verify(spec):
-    net = load_nnet(spec.network_path)
-    props = _load_properties(spec.property_path)
-    ropts = _reach_options(spec.options)
+def cmd_verify(args):
+    net = load_nnet(args.net)
+    props = _load_properties(args.props)
+    ropts = _reach_options(args)
     results = []
     any_unsafe = False
     for prop in props:
@@ -113,19 +103,18 @@ def cmd_verify(spec):
             "explored_sets": stats.explored_sets,
             "peak_sets": stats.peak_live_sets,
         }
-        if not spec.options.get("no_timing"):
+        if not args.no_timing:
             row["wall_time_ms"] = elapsed_ms
         results.append(row)
-    _emit({"results": results}, spec.options.get("out"))
+    _emit({"results": results}, args.out)
     return 1 if any_unsafe else 0
 
 
-def cmd_reach(spec):
-    net = load_nnet(spec.network_path)
-    props = _load_properties(spec.property_path)
-    ropts = _reach_options(spec.options)
-    i, j = _projection_axes(spec.options, net.output_dim)
-    dump_sets = spec.options.get("dump_sets", False)
+def cmd_reach(args):
+    net = load_nnet(args.net)
+    props = _load_properties(args.props)
+    ropts = _reach_options(args)
+    i, j = _projection_axes(args, net.output_dim)
     out = {"projection_axes": [i, j], "properties": []}
     for prop in props:
         regions = []
@@ -136,7 +125,7 @@ def cmd_reach(spec):
                 "output_vertices": s.current_vertices.tolist(),
                 "projection": projection_polygon(s.current_vertices, i, j),
             }
-            if dump_sets:
+            if args.dump_sets:
                 entry["input_vertices"] = s.input_vertices.tolist()
                 entry["incidence"] = s.fvim.astype(int).tolist()
             sets_json.append(entry)
@@ -156,50 +145,46 @@ def cmd_reach(spec):
                 "unsafe_regions": regions_json,
             }
         )
-    _emit(out, spec.options.get("out"))
+    _emit(out, args.out)
     return 0
 
 
-def cmd_repair(spec):
-    net = load_nnet(spec.network_path)
-    props = _load_properties(spec.property_path)
-    train_data = _load_dataset(spec.options["train_data"])
-    test_data = _load_dataset(spec.options["test_data"])
-    seed = spec.options.get("seed", 0)
-    axes = spec.options.get("project")
-    if axes is not None:
-        axes = _projection_axes(spec.options, net.output_dim)
+def cmd_repair(args):
+    net = load_nnet(args.net)
+    props = _load_properties(args.props)
+    train_data = _load_dataset(args.train_data)
+    test_data = _load_dataset(args.test_data)
+    axes = None if args.project is None else _projection_axes(args, net.output_dim)
     cfg = RepairConfig(
-        alpha=spec.options.get("alpha", 0.02),
-        epsilon=spec.options.get("epsilon", 0.0),
-        accuracy_floor=spec.options.get("floor"),
-        max_iterations=spec.options.get("max_iterations", 50),
+        alpha=args.alpha,
+        epsilon=args.epsilon,
+        accuracy_floor=args.floor,
+        max_iterations=args.max_iterations,
         train=TrainConfig(
-            learning_rate=spec.options.get("lr", 0.01),
-            batch_size=spec.options.get("batch_size", 32),
-            epochs_per_iteration=spec.options.get("epochs", 10),
-            seed=seed,
+            learning_rate=args.lr,
+            batch_size=args.batch_size,
+            epochs_per_iteration=args.epochs,
+            seed=args.seed,
         ),
-        reach=_reach_options(spec.options),
+        reach=_reach_options(args),
         projection_axes=axes,
-        seed=seed,
+        seed=args.seed,
     )
     repaired_net, report = repair(net, props, train_data, test_data, cfg)
-    out_net = spec.options.get("out_net") or "repaired.nnet"
-    save_nnet(repaired_net, out_net)
+    save_nnet(repaired_net, args.out_net)
     payload = {
-        "report": report.to_dict(include_timing=not spec.options.get("no_timing")),
-        "repaired_network": out_net,
+        "report": report.to_dict(include_timing=not args.no_timing),
+        "repaired_network": args.out_net,
     }
-    _emit(payload, spec.options.get("out"))
+    _emit(payload, args.out)
     return 0 if report.verdict == REPAIRED else 3
 
 
-def cmd_bench(spec):
+def cmd_bench(args):
     """Time exact search with the over-approximation filter on versus off."""
-    net = load_nnet(spec.network_path)
-    props = _load_properties(spec.property_path)
-    base = _reach_options(spec.options)
+    net = load_nnet(args.net)
+    props = _load_properties(args.props)
+    base = _reach_options(args)
     rows = []
     totals = {"filtered": [0.0, 0, 0], "unfiltered": [0.0, 0, 0]}
     for prop in props:
@@ -215,7 +200,7 @@ def cmd_bench(spec):
                 "peak_sets": stats.peak_live_sets,
                 "region_count": len(regions),
             }
-            if not spec.options.get("no_timing"):
+            if not args.no_timing:
                 row[label]["wall_time_ms"] = 1000.0 * dt
             totals[label][0] += dt
             totals[label][1] += stats.explored_sets
@@ -226,22 +211,20 @@ def cmd_bench(spec):
         "peak_sets_filtered": totals["filtered"][2],
         "peak_sets_unfiltered": totals["unfiltered"][2],
     }
-    if not spec.options.get("no_timing"):
+    if not args.no_timing:
         summary["speedup"] = totals["unfiltered"][0] / max(totals["filtered"][0], 1e-9)
         summary["wall_time_ms_filtered"] = 1000.0 * totals["filtered"][0]
         summary["wall_time_ms_unfiltered"] = 1000.0 * totals["unfiltered"][0]
-    _emit({"properties": rows, "summary": summary}, spec.options.get("out"))
+    _emit({"properties": rows, "summary": summary}, args.out)
     return 0
 
 
-def cmd_fixtures(spec):
+def cmd_fixtures(args):
     """Write the built-in fixture networks, properties and datasets."""
-    out_dir = spec.options.get("out") or "fixtures"
-    seed = spec.options.get("seed", 0)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     def p(name):
-        return os.path.join(out_dir, name)
+        return os.path.join(args.out, name)
 
     save_nnet(fx.toy_safe_network(), p("toy_safe.nnet"))
     save_nnet(fx.toy_unsafe_network(), p("toy_unsafe.nnet"))
@@ -250,20 +233,20 @@ def cmd_fixtures(spec):
     save_nnet(fx.bench_network(), p("bench.nnet"))
     _save_properties([fx.bench_property()], p("bench_props.json"))
 
-    save_nnet(fx.collision_avoidance_network(seed=seed), p("collision_avoidance.nnet"))
+    save_nnet(fx.collision_avoidance_network(seed=args.seed), p("collision_avoidance.nnet"))
     _save_properties(fx.collision_avoidance_properties(), p("collision_avoidance_props.json"))
 
     teacher = fx.toy_safe_network()
     prop = fx.toy_property()
     _save_dataset(
-        fx.sampled_dataset(teacher, prop.input_lb, prop.input_ub, 400, seed=seed),
+        fx.sampled_dataset(teacher, prop.input_lb, prop.input_ub, 400, seed=args.seed),
         p("toy_train.json"),
     )
     _save_dataset(
-        fx.sampled_dataset(teacher, prop.input_lb, prop.input_ub, 200, seed=seed + 1),
+        fx.sampled_dataset(teacher, prop.input_lb, prop.input_ub, 200, seed=args.seed + 1),
         p("toy_test.json"),
     )
-    _emit({"written_to": out_dir}, None)
+    _emit({"written_to": args.out}, None)
     return 0
 
 
@@ -305,7 +288,8 @@ def build_parser():
     sp.add_argument("--test-data", required=True, help="test data JSON")
     sp.add_argument("--project", type=_parse_project, default=None,
                     help="record per-iteration output projections on axes i,j")
-    sp.add_argument("--out-net", help="path for the repaired NNet (default repaired.nnet)")
+    sp.add_argument("--out-net", default="repaired.nnet",
+                    help="path for the repaired NNet (default repaired.nnet)")
     sp.add_argument("--alpha", type=float, default=0.02)
     sp.add_argument("--epsilon", type=float, default=0.0)
     sp.add_argument("--floor", type=float, default=None, help="absolute accuracy floor")
@@ -318,7 +302,7 @@ def build_parser():
     add_common(sp)
 
     sp = sub.add_parser("fixtures", help="write built-in demo networks and properties")
-    sp.add_argument("--out", help="output directory (default ./fixtures)")
+    sp.add_argument("--out", default="fixtures", help="output directory (default ./fixtures)")
     sp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -332,25 +316,10 @@ _COMMANDS = {
 }
 
 
-def _spec_from_args(args):
-    opts = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "net", "props") and v is not None
-    }
-    return RunSpec(
-        command=args.command,
-        network_path=getattr(args, "net", None),
-        property_path=getattr(args, "props", None),
-        options=opts,
-    )
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
     try:
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except Exception as exc:  # surface everything as a diagnostic, exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

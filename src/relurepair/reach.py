@@ -17,6 +17,9 @@ from . import fvim
 from . import vzono
 from .model import IDENTITY
 
+# base-vertex cap before a relaxed set falls back to its interval hull
+VZONO_CAP = 512
+
 
 @dataclass(frozen=True)
 class UnsafeDomain:
@@ -109,14 +112,14 @@ class ReachOptions:
 
     The engine is serial: worker_count is accepted and validated for
     compatibility with existing callers, and every value runs the same
-    single depth-first loop with the same results and stats.
+    single depth-first loop with the same results and stats. max_sets caps
+    the sets one call explores, over all its input boxes. The relaxed
+    filter's base-vertex cap is the module constant VZONO_CAP.
     """
 
     use_filter: bool = True
     worker_count: int = 1
     max_sets: int = 10**6
-    # base-vertex cap before the relaxed set falls back to its interval hull
-    vzono_cap: int = 512
 
     def __post_init__(self):
         if self.max_sets < 1:
@@ -214,13 +217,15 @@ def backtrack(s, unsafe, property_name=""):
     )
 
 
-def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
+def _run_dfs(net, lb, ub, props, opts, stats, collect_final=False, collect_safe=False):
     """Explore the input box depth-first, one stack of tracked sets.
 
     Returns (regions by property name, safe (input, output) vertex pairs or
-    None, final sets or None, ReachStats). peak_live_sets is the high-water
-    mark of the stack, counting the root. Past opts.max_sets explored sets
-    it raises MaxSetsExceeded carrying the regions and stats so far.
+    None, final sets or None). Counters add up in `stats`, whose
+    peak_live_sets becomes at least the high-water mark of this stack,
+    counting the root. Once stats.explored_sets passes opts.max_sets it
+    raises MaxSetsExceeded carrying this run's regions and `stats`, so one
+    ReachStats shared by several runs gives them one budget.
 
     layer_output, output_overapprox and backtrack are called through their
     module-global names, so a tracer that replaces them sees every call.
@@ -228,7 +233,7 @@ def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
     regions = {p.name: [] for p in props}
     safe_sets = [] if collect_safe else None
     final_sets = [] if collect_final else None
-    stats = ReachStats(peak_live_sets=1)
+    stats.peak_live_sets = max(stats.peak_live_sets, 1)
     stack = [fvim.box_polytope(lb, ub)]
     while stack:
         s = stack.pop()
@@ -250,13 +255,13 @@ def _run_dfs(net, lb, ub, props, opts, collect_final=False, collect_safe=False):
                 final_sets.append(s)
             continue
         if opts.use_filter and props:
-            z = output_overapprox(net, s, s.layer_cursor, cap=opts.vzono_cap)
+            z = output_overapprox(net, s, s.layer_cursor, cap=VZONO_CAP)
             if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
                 stats.pruned_sets += 1
                 continue
         stack.extend(layer_output(net, s, s.layer_cursor))
         stats.peak_live_sets = max(stats.peak_live_sets, len(stack))
-    return regions, safe_sets, final_sets, stats
+    return regions, safe_sets, final_sets
 
 
 def _vertex_key(vertices):
@@ -293,6 +298,10 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     receives (input_vertices, output_vertices) pairs of fully-propagated
     sets that are safe for all properties of their group; the arrays are
     the sets' own, so copy before writing to them.
+
+    opts.max_sets caps the sets explored by the whole call, across groups.
+    On MaxSetsExceeded, exc.stats holds the call's totals, and so does
+    `stats` once they are added to it.
     """
     opts = opts or ReachOptions()
     groups = {}
@@ -306,25 +315,27 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
         groups.setdefault(key, []).append(p)
 
     regions = {}
-    for group in groups.values():
-        try:
-            found, safe_sets, _, group_stats = _run_dfs(
-                net, group[0].input_lb, group[0].input_ub, group, opts,
+    total = ReachStats()
+    try:
+        for group in groups.values():
+            found, safe_sets, _ = _run_dfs(
+                net, group[0].input_lb, group[0].input_ub, group, opts, total,
                 collect_safe=safe_collector is not None,
             )
-        except MaxSetsExceeded as exc:
-            # carry everything found so far: finished groups plus this partial one
-            partial = dict(regions)
-            for name, rs in exc.regions.items():
-                partial[name] = canonical_sort(rs)
-            exc.regions = partial
-            raise
-        for p in group:
-            regions[p.name] = canonical_sort(found[p.name])
-        if safe_collector is not None:
-            safe_collector.extend(safe_sets)
+            for p in group:
+                regions[p.name] = canonical_sort(found[p.name])
+            if safe_collector is not None:
+                safe_collector.extend(safe_sets)
+    except MaxSetsExceeded as exc:
+        # carry everything found so far: finished groups plus this partial one
+        partial = dict(regions)
+        for name, rs in exc.regions.items():
+            partial[name] = canonical_sort(rs)
+        exc.regions = partial
+        raise
+    finally:
         if stats is not None:
-            stats.merge_from(group_stats)
+            stats.merge_from(total)
     return regions
 
 
@@ -346,8 +357,9 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     """
     opts = replace(opts or ReachOptions(), use_filter=False)
     props = [] if regions is None else [prop]
-    found, _, final_sets, run_stats = _run_dfs(
-        net, prop.input_lb, prop.input_ub, props, opts, collect_final=True
+    run_stats = ReachStats()
+    found, _, final_sets = _run_dfs(
+        net, prop.input_lb, prop.input_ub, props, opts, run_stats, collect_final=True
     )
     if stats is not None:
         stats.merge_from(run_stats)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LabeledDataset, TrainConfig, TrainingDivergedError, accuracy, train
+from .model import (
+    LabeledDataset,
+    TrainConfig,
+    TrainingDivergedError,
+    accuracy,
+    forward_batch,
+    train,
+)
 from .reach import (
     MaxSetsExceeded,
     ReachOptions,
@@ -151,21 +158,19 @@ def correct(y, unsafe, alpha):
     return y + (1.0 + alpha) * delta
 
 
-def unsafe_volume_ratio(regions, box, samples, seed=0):
-    """Monte-Carlo fraction of the box covered by the regions' input polytopes
-    (expected noise on the order of 1/sqrt(samples))."""
+def unsafe_volume_ratio(net, prop, samples, seed=0):
+    """Monte-Carlo fraction of the property's input box whose outputs lie in
+    its unsafe domain (expected noise on the order of 1/sqrt(samples)).
+
+    The exact unsafe regions cover exactly {x in box : f(x) unsafe}, so one
+    forward pass estimates their coverage without testing any region.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
-    lb, ub = (np.asarray(v, float) for v in box)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lb, ub, size=(samples, lb.shape[0]))
-    inside = np.zeros(samples, dtype=bool)
-    for region in regions:
-        remaining = ~inside
-        if not remaining.any():
-            break
-        inside[remaining] = region.contains_inputs(pts[remaining])
-    return float(inside.mean())
+    pts = rng.uniform(prop.input_lb, prop.input_ub, size=(samples, prop.input_lb.shape[0]))
+    unsafe = (prop.unsafe.margins(forward_batch(net, pts)) <= 0.0).all(axis=1)
+    return float(unsafe.mean())
 
 
 class _TrainingPool:
@@ -228,12 +233,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
         acc = accuracy(candidate, test_data)
         counts = {p.name: len(regions[p.name]) for p in properties}
         ratios = {
-            p.name: unsafe_volume_ratio(
-                regions[p.name],
-                (p.input_lb, p.input_ub),
-                cfg.volume_samples,
-                seed=cfg.seed + it,
-            )
+            p.name: unsafe_volume_ratio(candidate, p, cfg.volume_samples, seed=cfg.seed + it)
             for p in properties
         }
         projections = None

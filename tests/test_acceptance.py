@@ -151,7 +151,7 @@ def test_pruning_effectiveness():
     off = rr.reach_unsafe(net, prop, ReachOptions(use_filter=False), stats_off)
     t_off = time.monotonic() - t0
     # construction check: at least 90% of the box is provably safe
-    vol = rr.unsafe_volume_ratio(on, (prop.input_lb, prop.input_ub), 20_000, seed=0)
+    vol = rr.unsafe_volume_ratio(net, prop, 20_000, seed=0)
     assert vol <= 0.10
     ratio = stats_on.explored_sets / stats_off.explored_sets
     assert ratio <= 0.5, f"filtered explored {ratio:.0%} of unfiltered sets"

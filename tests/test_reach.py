@@ -19,7 +19,7 @@ from relurepair.fvim import (
     keep_leq,
     split_by_neuron,
 )
-from relurepair.model import IDENTITY, RELU, Layer, Network, forward, forward_batch
+from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, forward, forward_batch
 from relurepair.reach import (
     MaxSetsExceeded,
     ReachOptions,
@@ -36,10 +36,11 @@ from relurepair.reach import (
     reach_unsafe,
     reach_unsafe_all,
 )
-from relurepair.repair import unsafe_volume_ratio
+from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
 from relurepair.vzono import support
 
 from conftest import fit_affine, region_points
+from test_repair import desk_repair_fixture
 
 
 def single_constraint(a, b=0.0):
@@ -315,6 +316,32 @@ class TestReachUnsafe:
         assert 0 < len(partial) < len(solo["full"])
         assert set(partial) <= set(solo["full"])
 
+    def test_max_sets_is_one_budget_and_one_total_per_call(self):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        unsafe = single_constraint([1.0, -1.0])
+        small = SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], unsafe)
+        full = unit_prop(2, unsafe, name="full")
+        stats = ReachStats()
+        with pytest.raises(MaxSetsExceeded) as err:
+            reach_unsafe_all(net, [small, full], ReachOptions(use_filter=False, max_sets=60), stats)
+        # the small box's group finishes in 52 sets, the full box's stops at 9
+        assert stats == err.value.stats
+        assert stats.explored_sets == 61
+
+    def test_grouped_stats_add_up_solo_runs(self):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        unsafe = single_constraint([1.0, -1.0])
+        props = [SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], unsafe), unit_prop(2, unsafe)]
+        solo = [ReachStats() for _ in props]
+        for p, st in zip(props, solo):
+            reach_unsafe(net, p, stats=st)
+        together = ReachStats()
+        reach_unsafe_all(net, props, stats=together)
+        assert together.explored_sets == sum(st.explored_sets for st in solo)
+        assert together.pruned_sets == sum(st.pruned_sets for st in solo)
+        assert together.final_sets == sum(st.final_sets for st in solo)
+        assert together.peak_live_sets == max(st.peak_live_sets for st in solo)
+
     def test_grouped_properties_match_solo_runs(self):
         net = fx.random_network([2, 6, 4, 3], seed=23)
         p1 = unit_prop(2, single_constraint([1.0, -1.0, 0.0]), name="a")
@@ -494,18 +521,65 @@ class TestFacetFitOnlyOnMembership:
             assert cli_main(["reach", *files, "--dump-sets", "--out", str(tmp_path / "r.json")]) == 0
         assert fits == []
 
-    def test_volume_ratio_fits_each_region_at_most_once(self, fits):
+    def test_contains_inputs_fits_each_region_at_most_once(self, fits):
         net, prop = lazy_fit_cases()[-1]
         regions = reach_unsafe(net, prop)
-        box = (prop.input_lb, prop.input_ub)
-        first = unsafe_volume_ratio(regions, box, 2000, seed=1)
-        n_first = len(fits)
-        assert 0 < n_first <= len(regions)
-        second = unsafe_volume_ratio(regions, box, 2000, seed=1)
-        assert second == first
+        pts = np.random.default_rng(1).uniform(prop.input_lb, prop.input_ub, size=(200, 3))
+        first = [r.contains_inputs(pts) for r in regions]
+        assert len(fits) == len(regions)
+        second = [r.contains_inputs(pts) for r in regions]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
         ids = [id(f) for f in fits]
-        assert len(ids) == len(set(ids)) <= len(regions)
+        assert len(ids) == len(set(ids)) == len(regions)
         assert all(any(f is r.incidence for r in regions) for f in fits)
+
+    def test_repair_fits_nothing(self, fits):
+        candidate, prop, train_data, test_data = desk_repair_fixture()
+        cfg = RepairConfig(
+            max_iterations=3,
+            train=TrainConfig(learning_rate=0.05, batch_size=32, epochs_per_iteration=5, seed=1),
+        )
+        _, report = repair(candidate, [prop], train_data, test_data, cfg)
+        assert sum(sum(rec.unsafe_region_counts.values()) for rec in report.iterations) > 0
+        assert fits == []
+
+
+def region_volume_ratio(regions, box, samples, seed=0):
+    """Reference estimator: the fraction of the same samples that lie in some
+    region's input polytope, tested region by region."""
+    lb, ub = (np.asarray(v, float) for v in box)
+    pts = np.random.default_rng(seed).uniform(lb, ub, size=(samples, lb.shape[0]))
+    inside = np.zeros(samples, dtype=bool)
+    for region in regions:
+        remaining = ~inside
+        if not remaining.any():
+            break
+        inside[remaining] = region.contains_inputs(pts[remaining])
+    return float(inside.mean())
+
+
+def volume_cases():
+    candidate, desk_prop, _, _ = desk_repair_fixture()
+    cases = lazy_fit_cases() + [(candidate, desk_prop)]
+    # partly unsafe boxes: about 25% and 88% of [-1, 1]^3
+    shifted = single_constraint([-1.0, 1.0], 0.1)
+    cases += [(fx.random_network([3, 8, 8, 2], seed=s), unit_prop(3, shifted)) for s in (2, 3)]
+    return cases
+
+
+class TestForwardVolumeMatchesRegions:
+    """The exact regions cover exactly {x in box : f(x) unsafe}, so a forward
+    pass and the region-by-region test agree on every sample."""
+
+    @pytest.mark.parametrize("case", range(len(volume_cases())))
+    def test_equal_on_identical_samples(self, case):
+        net, prop = volume_cases()[case]
+        regions = reach_unsafe(net, prop)
+        box = (prop.input_lb, prop.input_ub)
+        for seed in (0, 1):
+            assert unsafe_volume_ratio(net, prop, 4000, seed) == region_volume_ratio(
+                regions, box, 4000, seed
+            )
 
 
 class TestExactOutputDomain:

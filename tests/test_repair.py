@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from relurepair import fixtures as fx
-from relurepair.fvim import box_polytope, facet_halfspaces
 from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, accuracy, forward
 from relurepair.reach import ReachOptions, SafetyProperty, UnsafeDomain, UnsafeRegion, reach_unsafe
 from relurepair.repair import (
@@ -20,14 +19,14 @@ from relurepair.repair import (
 )
 
 
-def region_from_box(lb, ub, name="r"):
-    s = box_polytope(lb, ub)
-    return UnsafeRegion(
-        input_poly=np.array(s.input_vertices),
-        output_poly=np.array(s.current_vertices),
-        property_name=name,
-        input_halfspaces=facet_halfspaces(s),
-    )
+def identity_prop(a, b):
+    """Property on [-1, 1]^2 whose unsafe set is a . y + b <= 0, for the
+    2-d identity network."""
+    unsafe = UnsafeDomain([(np.asarray(a, float), b)])
+    return SafetyProperty("id", [-1.0, -1.0], [1.0, 1.0], unsafe)
+
+
+IDENTITY_NET = Network([Layer(np.eye(2), np.zeros(2), IDENTITY)])
 
 
 def desk_repair_fixture():
@@ -131,16 +130,21 @@ class TestCorrect:
 
 class TestUnsafeVolumeRatio:
     def test_no_regions(self):
-        assert unsafe_volume_ratio([], ([-1, -1], [1, 1]), 100) == 0.0
+        # unsafe iff y0 >= 2, out of reach of the box
+        assert unsafe_volume_ratio(IDENTITY_NET, identity_prop([-1.0, 0.0], 2.0), 100) == 0.0
 
     def test_whole_box(self):
-        region = region_from_box([-1.0, -1.0], [1.0, 1.0])
-        assert unsafe_volume_ratio([region], ([-1, -1], [1, 1]), 2000) == 1.0
+        # unsafe iff y0 <= 2, everywhere on the box
+        assert unsafe_volume_ratio(IDENTITY_NET, identity_prop([1.0, 0.0], -2.0), 2000) == 1.0
 
     def test_half_box(self):
-        region = region_from_box([-1.0, -1.0], [0.0, 1.0])
-        got = unsafe_volume_ratio([region], ([-1, -1], [1, 1]), 10_000, seed=1)
+        # unsafe iff y0 <= 0, the left half of the box
+        got = unsafe_volume_ratio(IDENTITY_NET, identity_prop([1.0, 0.0], 0.0), 10_000, seed=1)
         assert got == pytest.approx(0.5, abs=0.02)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="sample"):
+            unsafe_volume_ratio(IDENTITY_NET, identity_prop([1.0, 0.0], 0.0), 0)
 
 
 class TestTrainingPool:
