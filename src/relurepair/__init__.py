@@ -33,7 +33,7 @@ from .reach import (
     UnsafeDomain,
     UnsafeRegion,
     backtrack,
-    exact_output_domain,
+    exact_final_sets,
     layer_output,
     output_overapprox,
     reach_unsafe,

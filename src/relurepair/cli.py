@@ -79,9 +79,26 @@ def _reach_options(args):
 
 def _projection_axes(args, output_dim):
     i, j = args.project if args.project is not None else (0, 1 if output_dim > 1 else 0)
-    if i >= output_dim or j >= output_dim:
+    if not (0 <= i < output_dim and 0 <= j < output_dim):
         raise ValueError(f"projection axes ({i},{j}) out of range for {output_dim} outputs")
     return i, j
+
+
+def _timed_reach(net, prop, opts, args):
+    """reach_unsafe on one property; returns the regions and a row of its
+    counters plus, unless --no-timing, its wall time."""
+    stats = ReachStats()
+    t0 = time.monotonic()
+    regions = reach_unsafe(net, prop, opts, stats)
+    elapsed_ms = 1000.0 * (time.monotonic() - t0)
+    row = {
+        "explored_sets": stats.explored_sets,
+        "peak_sets": stats.peak_live_sets,
+        "region_count": len(regions),
+    }
+    if not args.no_timing:
+        row["wall_time_ms"] = elapsed_ms
+    return regions, row
 
 
 def cmd_verify(args):
@@ -91,21 +108,9 @@ def cmd_verify(args):
     results = []
     any_unsafe = False
     for prop in props:
-        stats = ReachStats()
-        t0 = time.monotonic()
-        regions = reach_unsafe(net, prop, ropts, stats)
-        elapsed_ms = 1000.0 * (time.monotonic() - t0)
+        regions, row = _timed_reach(net, prop, ropts, args)
         any_unsafe = any_unsafe or bool(regions)
-        row = {
-            "property": prop.name,
-            "verdict": "unsafe" if regions else "safe",
-            "region_count": len(regions),
-            "explored_sets": stats.explored_sets,
-            "peak_sets": stats.peak_live_sets,
-        }
-        if not args.no_timing:
-            row["wall_time_ms"] = elapsed_ms
-        results.append(row)
+        results.append({"property": prop.name, "verdict": "unsafe" if regions else "safe", **row})
     _emit({"results": results}, args.out)
     return 1 if any_unsafe else 0
 
@@ -190,21 +195,11 @@ def cmd_bench(args):
     for prop in props:
         row = {"property": prop.name}
         for label, use_filter in (("filtered", True), ("unfiltered", False)):
-            opts = replace(base, use_filter=use_filter)
-            stats = ReachStats()
-            t0 = time.monotonic()
-            regions = reach_unsafe(net, prop, opts, stats)
-            dt = time.monotonic() - t0
-            row[label] = {
-                "explored_sets": stats.explored_sets,
-                "peak_sets": stats.peak_live_sets,
-                "region_count": len(regions),
-            }
-            if not args.no_timing:
-                row[label]["wall_time_ms"] = 1000.0 * dt
-            totals[label][0] += dt
-            totals[label][1] += stats.explored_sets
-            totals[label][2] = max(totals[label][2], stats.peak_live_sets)
+            _, counts = _timed_reach(net, prop, replace(base, use_filter=use_filter), args)
+            row[label] = counts
+            totals[label][0] += counts.get("wall_time_ms", 0.0)
+            totals[label][1] += counts["explored_sets"]
+            totals[label][2] = max(totals[label][2], counts["peak_sets"])
         rows.append(row)
     summary = {
         "explored_ratio": totals["filtered"][1] / max(totals["unfiltered"][1], 1),
@@ -212,9 +207,9 @@ def cmd_bench(args):
         "peak_sets_unfiltered": totals["unfiltered"][2],
     }
     if not args.no_timing:
-        summary["speedup"] = totals["unfiltered"][0] / max(totals["filtered"][0], 1e-9)
-        summary["wall_time_ms_filtered"] = 1000.0 * totals["filtered"][0]
-        summary["wall_time_ms_unfiltered"] = 1000.0 * totals["unfiltered"][0]
+        summary["speedup"] = totals["unfiltered"][0] / max(totals["filtered"][0], 1e-6)
+        summary["wall_time_ms_filtered"] = totals["filtered"][0]
+        summary["wall_time_ms_unfiltered"] = totals["unfiltered"][0]
     _emit({"properties": rows, "summary": summary}, args.out)
     return 0
 
@@ -264,9 +259,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, props_required=True):
+    def add_common(sp):
         sp.add_argument("--net", required=True, help="NNet network file")
-        sp.add_argument("--props", required=props_required, help="property JSON file")
+        sp.add_argument("--props", required=True, help="property JSON file")
         sp.add_argument("--filter", choices=["on", "off"], default="on")
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--max-sets", type=int, default=10**6)

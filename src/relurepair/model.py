@@ -44,7 +44,7 @@ class Network:
     Hidden layers use ReLU; only the last layer may use the identity
     activation. Normalization constants (means/ranges per input, plus one
     trailing entry for the output) are carried along when loaded from an
-    NNet file but applied only on request.
+    NNet file but applied only by `normalize`.
     """
 
     def __init__(self, layers, mins=None, maxes=None, means=None, ranges=None):
@@ -184,18 +184,17 @@ def load_nnet(path):
         raise NNetFormatError(f"line {lineno}: layer sizes disagree with header counts")
 
     next_line()  # symmetric flag, unused
-    mins = _parse_numbers(next_line(), lineno)
-    maxes = _parse_numbers(next_line(), lineno)
-    means = _parse_numbers(next_line(), lineno)
-    ranges = _parse_numbers(next_line(), lineno)
-    for name, vals, want in (
-        ("mins", mins, input_dim),
-        ("maxes", maxes, input_dim),
-        ("means", means, input_dim + 1),
-        ("ranges", ranges, input_dim + 1),
+    header = {}
+    for name, want in (
+        ("mins", input_dim),
+        ("maxes", input_dim),
+        ("means", input_dim + 1),
+        ("ranges", input_dim + 1),
     ):
+        vals = _parse_numbers(next_line(), lineno)
         if len(vals) != want:
             raise NNetFormatError(f"line {lineno}: expected {want} {name} values, got {len(vals)}")
+        header[name] = vals
 
     layers = []
     for k in range(num_layers):
@@ -228,7 +227,7 @@ def load_nnet(path):
         act = IDENTITY if k == num_layers - 1 else RELU
         layers.append(Layer(w, b, act))
 
-    return Network(layers, mins, maxes, means, ranges)
+    return Network(layers, **header)
 
 
 def save_nnet(net, path):
@@ -260,13 +259,11 @@ def save_nnet(net, path):
         f.write("\n".join(lines) + "\n")
 
 
-def forward(net, x, normalize=False):
+def forward(net, x):
     """Evaluate the network on one input vector."""
     x = np.asarray(x, float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    if normalize:
-        x = net.normalize(x)
     for ly in net.layers:
         x = ly.weights @ x + ly.bias
         if ly.activation == RELU:
@@ -274,13 +271,11 @@ def forward(net, x, normalize=False):
     return x
 
 
-def forward_batch(net, xs, normalize=False):
+def forward_batch(net, xs):
     """Evaluate the network on rows of a (n, input_dim) array."""
     xs = np.asarray(xs, float)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"inputs have shape {xs.shape}, expected (n, {net.input_dim})")
-    if normalize:
-        xs = (xs - net.means[: net.input_dim]) / net.ranges[: net.input_dim]
     for ly in net.layers:
         xs = xs @ ly.weights.T + ly.bias
         if ly.activation == RELU:

@@ -9,7 +9,7 @@ the union of discovered unsafe regions unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,27 +80,25 @@ class SafetyProperty:
 class UnsafeRegion:
     """One unsafe input polytope paired with its output polytope, row by row.
 
-    input_halfspaces: bounding halfspaces (A, b), A x + b <= 0, of the input
-        polytope. May be passed in; otherwise left None until the first
-        contains_inputs call fits them from `incidence` and caches them here.
     incidence: bool facet-vertex incidence matrix over the rows of
         input_poly (the restricted set's fvim), from which the halfspaces
         are fitted. Exploration only fills this field, so regions that are
         never tested for membership pay no fit.
+    input_halfspaces: bounding halfspaces (A, b), A x + b <= 0, of the input
+        polytope. Not a constructor argument: a cache that stays None until
+        the first contains_inputs call fits them from `incidence`.
     """
 
     input_poly: np.ndarray
     output_poly: np.ndarray
     property_name: str
-    input_halfspaces: tuple = None
     incidence: np.ndarray = None
+    input_halfspaces: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def contains_inputs(self, points, tol=1e-9):
         if self.input_halfspaces is None:
             if self.incidence is None:
-                raise ValueError(
-                    "region has neither input_halfspaces nor an incidence matrix to fit them from"
-                )
+                raise ValueError("region has no incidence matrix to fit its halfspaces from")
             s = fvim.TrackedSet(self.incidence, self.input_poly, self.output_poly)
             object.__setattr__(self, "input_halfspaces", fvim.facet_halfspaces(s))
         return fvim.contains(self.input_halfspaces, points, tol)
@@ -180,12 +178,13 @@ def layer_output(net, s, layer):
     return [replace(cur, layer_cursor=layer + 1) for cur in sets]
 
 
-def output_overapprox(net, s, from_layer, cap=None):
-    """Relaxed output set for the remaining layers of one tracked set."""
+def output_overapprox(net, s, from_layer):
+    """Relaxed output set for the remaining layers of one tracked set. A set
+    with more than VZONO_CAP vertices starts from its interval hull."""
     if s.layer_cursor != from_layer:
         raise ValueError(f"set cursor is at layer {s.layer_cursor}, not {from_layer}")
     z = vzono.from_tracked(s)
-    if cap is not None and z.num_base_vertices > cap:
+    if z.num_base_vertices > VZONO_CAP:
         z = vzono.interval_hull(z)
     for k in range(from_layer, net.num_layers):
         ly = net.layers[k]
@@ -217,65 +216,79 @@ def backtrack(s, unsafe, property_name=""):
     )
 
 
-def _run_dfs(net, lb, ub, props, opts, stats, collect_final=False, collect_safe=False):
-    """Explore the input box depth-first, one stack of tracked sets.
-
-    Returns (regions by property name, safe (input, output) vertex pairs or
-    None, final sets or None). Counters add up in `stats`, whose
-    peak_live_sets becomes at least the high-water mark of this stack,
-    counting the root. Once stats.explored_sets passes opts.max_sets it
-    raises MaxSetsExceeded carrying this run's regions and `stats`, so one
-    ReachStats shared by several runs gives them one budget.
-
-    layer_output, output_overapprox and backtrack are called through their
-    module-global names, so a tracer that replaces them sees every call.
-    """
-    regions = {p.name: [] for p in props}
-    safe_sets = [] if collect_safe else None
-    final_sets = [] if collect_final else None
-    stats.peak_live_sets = max(stats.peak_live_sets, 1)
-    stack = [fvim.box_polytope(lb, ub)]
-    while stack:
-        s = stack.pop()
-        stats.explored_sets += 1
-        if stats.explored_sets > opts.max_sets:
-            raise MaxSetsExceeded(opts.max_sets, regions, stats)
-        if s.layer_cursor == net.num_layers:
-            stats.final_sets += 1
-            safe = True
-            for p in props:
-                region = backtrack(s, p.unsafe, p.name)
-                if region is not None:
-                    regions[p.name].append(region)
-                    safe = False
-            if safe and safe_sets is not None:
-                # a final set's arrays are never written again: no copy
-                safe_sets.append((s.input_vertices, s.current_vertices))
-            if final_sets is not None:
-                final_sets.append(s)
-            continue
-        if opts.use_filter and props:
-            z = output_overapprox(net, s, s.layer_cursor, cap=VZONO_CAP)
-            if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
-                stats.pruned_sets += 1
-                continue
-        stack.extend(layer_output(net, s, s.layer_cursor))
-        stats.peak_live_sets = max(stats.peak_live_sets, len(stack))
-    return regions, safe_sets, final_sets
-
-
 def _vertex_key(vertices):
     """Bytes of the vertex rows rounded to 1e-12, with -0.0 folded into 0.0."""
     return (np.round(vertices, 12) + 0.0).tobytes()
 
 
 def _canonical_key(region):
+    """Canonical region order: by vertex count, then by rounded vertex values."""
     return (region.input_poly.shape[0], _vertex_key(region.input_poly))
 
 
-def canonical_sort(regions):
-    """Canonical ordering: by vertex count, then by rounded vertex values."""
-    return sorted(regions, key=_canonical_key)
+def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
+    """Explore each (lb, ub, props) group's input box depth-first, one stack
+    of tracked sets per box; a branch is pruned only when provably safe for
+    every property of its group.
+
+    Returns (regions by property name, safe (input, output) vertex pairs or
+    None, final sets in exploration order or None). Every call follows one
+    policy:
+    - opts.max_sets caps the sets explored over all groups. Past it,
+      MaxSetsExceeded carries every region found so far (finished groups and
+      the partial one) and the call's totals;
+    - the call's totals are added to `stats`, when given, however the call
+      ends, so on MaxSetsExceeded they equal exc.stats;
+    - regions are canonically sorted, in the result and in the exception.
+    peak_live_sets is the high-water mark of any group's stack, counting
+    its root.
+
+    layer_output, output_overapprox and backtrack are called through their
+    module-global names, so a tracer that replaces them sees every call.
+    """
+    total = ReachStats()
+    regions = {}
+    safe_sets = [] if collect_safe else None
+    final_sets = [] if collect_final else None
+    try:
+        for lb, ub, props in groups:
+            for p in props:
+                regions[p.name] = []
+            total.peak_live_sets = max(total.peak_live_sets, 1)
+            stack = [fvim.box_polytope(lb, ub)]
+            while stack:
+                s = stack.pop()
+                total.explored_sets += 1
+                if total.explored_sets > opts.max_sets:
+                    raise MaxSetsExceeded(opts.max_sets, regions, total)
+                if s.layer_cursor == net.num_layers:
+                    total.final_sets += 1
+                    safe = True
+                    for p in props:
+                        region = backtrack(s, p.unsafe, p.name)
+                        if region is not None:
+                            regions[p.name].append(region)
+                            safe = False
+                    if safe and safe_sets is not None:
+                        # a final set's arrays are never written again: no copy
+                        safe_sets.append((s.input_vertices, s.current_vertices))
+                    if final_sets is not None:
+                        final_sets.append(s)
+                    continue
+                if opts.use_filter and props:
+                    z = output_overapprox(net, s, s.layer_cursor)
+                    if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
+                        total.pruned_sets += 1
+                        continue
+                stack.extend(layer_output(net, s, s.layer_cursor))
+                total.peak_live_sets = max(total.peak_live_sets, len(stack))
+    finally:
+        # in place: an exception's regions are this same dict
+        for found in regions.values():
+            found.sort(key=_canonical_key)
+        if stats is not None:
+            stats.merge_from(total)
+    return regions, safe_sets, final_sets
 
 
 def reach_unsafe(net, prop, opts=None, stats=None):
@@ -295,15 +308,14 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     Returns {property name: canonically sorted regions}. The regions carry
     no fitted halfspaces until they are asked for: each fits them on its
     first contains_inputs call. When a list is passed as safe_collector it
-    receives (input_vertices, output_vertices) pairs of fully-propagated
-    sets that are safe for all properties of their group; the arrays are
-    the sets' own, so copy before writing to them.
+    receives, once the call finishes, (input_vertices, output_vertices)
+    pairs of fully-propagated sets that are safe for all properties of their
+    group; the arrays are the sets' own, so copy before writing to them.
 
     opts.max_sets caps the sets explored by the whole call, across groups.
     On MaxSetsExceeded, exc.stats holds the call's totals, and so does
     `stats` once they are added to it.
     """
-    opts = opts or ReachOptions()
     groups = {}
     for p in properties:
         if len(p.input_lb) != net.input_dim:
@@ -313,42 +325,22 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
             )
         key = (p.input_lb.tobytes(), p.input_ub.tobytes())
         groups.setdefault(key, []).append(p)
-
-    regions = {}
-    total = ReachStats()
-    try:
-        for group in groups.values():
-            found, safe_sets, _ = _run_dfs(
-                net, group[0].input_lb, group[0].input_ub, group, opts, total,
-                collect_safe=safe_collector is not None,
-            )
-            for p in group:
-                regions[p.name] = canonical_sort(found[p.name])
-            if safe_collector is not None:
-                safe_collector.extend(safe_sets)
-    except MaxSetsExceeded as exc:
-        # carry everything found so far: finished groups plus this partial one
-        partial = dict(regions)
-        for name, rs in exc.regions.items():
-            partial[name] = canonical_sort(rs)
-        exc.regions = partial
-        raise
-    finally:
-        if stats is not None:
-            stats.merge_from(total)
+    regions, safe_sets, _ = _explore(
+        net,
+        [(g[0].input_lb, g[0].input_ub, g) for g in groups.values()],
+        opts or ReachOptions(),
+        stats,
+        collect_safe=safe_collector is not None,
+    )
+    if safe_collector is not None:
+        safe_collector.extend(safe_sets)
     return regions
-
-
-def exact_output_domain(net, prop, opts=None, stats=None):
-    """Every final set's output vertices from full exact propagation (no
-    pruning); the union of their hulls is the exact output reachable domain."""
-    sets = exact_final_sets(net, prop, opts, stats)
-    return [np.array(s.current_vertices) for s in sets]
 
 
 def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     """Fully propagated tracked sets of the exact analysis, one per linear
-    region of the input box.
+    region of the input box; the union of their output hulls is the exact
+    reachable output domain.
 
     When a list is passed as `regions`, the same unpruned exploration also
     backtracks every final set through the property's unsafe domain, and the
@@ -357,14 +349,11 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     """
     opts = replace(opts or ReachOptions(), use_filter=False)
     props = [] if regions is None else [prop]
-    run_stats = ReachStats()
-    found, _, final_sets = _run_dfs(
-        net, prop.input_lb, prop.input_ub, props, opts, run_stats, collect_final=True
+    found, _, final_sets = _explore(
+        net, [(prop.input_lb, prop.input_ub, props)], opts, stats, collect_final=True
     )
-    if stats is not None:
-        stats.merge_from(run_stats)
     if regions is not None:
-        regions.extend(canonical_sort(found[prop.name]))
+        regions.extend(found[prop.name])
     return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices))
 
 

@@ -25,7 +25,7 @@ from .reach import (
     MaxSetsExceeded,
     ReachOptions,
     ReachStats,
-    exact_output_domain,
+    exact_final_sets,
     projection_polygon,
     reach_unsafe_all,
 )
@@ -37,6 +37,12 @@ EXHAUSTED = "max-iterations-exhausted"
 
 # a point is accepted as unsafe when every constraint margin is below this
 CONTRACT_TOL = 1e-9
+
+# safe vertex pairs merged per iteration, as a multiple of corrected pairs
+SAFE_PAIR_RATIO = 4
+
+# uniform input samples behind each iteration's unsafe volume estimate
+VOLUME_SAMPLES = 10_000
 
 
 class RepairAborted(RuntimeError):
@@ -59,9 +65,6 @@ class RepairConfig:
     max_iterations: int = 50
     train: TrainConfig = field(default_factory=TrainConfig)
     reach: ReachOptions = field(default_factory=ReachOptions)
-    # safe vertex pairs merged per iteration, as a multiple of corrected pairs
-    safe_pair_ratio: int = 4
-    volume_samples: int = 10_000
     # output axes (i, j); when set, each iteration records the 2-d projections
     # of the exact reachable sets and unsafe regions for plotting
     projection_axes: tuple | None = None
@@ -233,7 +236,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
         acc = accuracy(candidate, test_data)
         counts = {p.name: len(regions[p.name]) for p in properties}
         ratios = {
-            p.name: unsafe_volume_ratio(candidate, p, cfg.volume_samples, seed=cfg.seed + it)
+            p.name: unsafe_volume_ratio(candidate, p, VOLUME_SAMPLES, seed=cfg.seed + it)
             for p in properties
         }
         projections = None
@@ -241,9 +244,9 @@ def repair(net, properties, train_data, test_data, cfg=None):
             i, j = cfg.projection_axes
             projections = {}
             for p in properties:
-                outs = exact_output_domain(candidate, p, cfg.reach)
+                finals = exact_final_sets(candidate, p, cfg.reach)
                 projections[p.name] = {
-                    "reachable": [projection_polygon(o, i, j) for o in outs],
+                    "reachable": [projection_polygon(s.current_vertices, i, j) for s in finals],
                     "unsafe": [projection_polygon(r.output_poly, i, j) for r in regions[p.name]],
                 }
         record = IterationRecord(it, counts, ratios, acc, 0.0, projections, pool_size=len(pool))
@@ -267,7 +270,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
         safe_pairs = [
             (x, y) for inputs, outputs in safe_sets for x, y in zip(inputs, outputs)
         ]
-        cap = cfg.safe_pair_ratio * len(corrected)
+        cap = SAFE_PAIR_RATIO * len(corrected)
         if len(safe_pairs) > cap:
             rng = np.random.default_rng(cfg.seed + 7919 * it)
             keep = rng.choice(len(safe_pairs), size=cap, replace=False)

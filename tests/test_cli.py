@@ -72,6 +72,14 @@ class TestReach:
     def test_bad_projection_axes_exit_two(self, fixture_dir):
         assert run(["reach", "--net", fixture_dir / "toy_safe.nnet", "--props", fixture_dir / "toy_props.json", "--project", "0,9"]) == 2
 
+    @pytest.mark.parametrize("axes", ["-1,0", "0,-1", "-5,0"])
+    def test_negative_projection_axis_exits_two(self, fixture_dir, tmp_path, capsys, axes):
+        out = tmp_path / "r.json"
+        code = run(["reach", "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json", f"--project={axes}", "--out", out])
+        assert code == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "toy_unsafe.nnet").read_text().splitlines()
         lines[8] = "nan," + lines[8].split(",", 1)[1]  # first weight row
@@ -208,6 +216,23 @@ class TestRepair:
             ]
         )
         assert code == 3
+
+    def test_negative_projection_axis_exits_two(self, fixture_dir, tmp_path, capsys):
+        out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
+        code = run(
+            [
+                "repair",
+                "--net", fixture_dir / "toy_unsafe.nnet",
+                "--props", fixture_dir / "toy_props.json",
+                "--train-data", fixture_dir / "toy_train.json",
+                "--test-data", fixture_dir / "toy_test.json",
+                "--project=-1,0",
+                "--out", out, "--out-net", out_net,
+            ]
+        )
+        assert code == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists() and not out_net.exists()
 
 
 class TestBench:

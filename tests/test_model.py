@@ -96,6 +96,18 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError, match="line 9"):
             load_nnet(p)
 
+    @pytest.mark.parametrize(
+        "lineno, name, want", [(5, "mins", 2), (6, "maxes", 2), (7, "means", 3), (8, "ranges", 3)]
+    )
+    def test_short_header_vector_reports_its_line(self, tmp_path, lineno, name, want):
+        p = tmp_path / "bad.nnet"
+        save_nnet(fx.random_network([2, 3, 2], seed=0), p)
+        text = p.read_text().splitlines()
+        text[lineno - 1] = "0.0,"
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match=f"^line {lineno}: expected {want} {name} values, got 1$"):
+            load_nnet(p)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
     def test_non_finite_weight_reports_line(self, tmp_path, token):
         p = tmp_path / "bad.nnet"

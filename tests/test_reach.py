@@ -28,8 +28,8 @@ from relurepair.reach import (
     UnsafeDomain,
     UnsafeRegion,
     backtrack,
+    VZONO_CAP,
     exact_final_sets,
-    exact_output_domain,
     layer_output,
     output_overapprox,
     projection_polygon,
@@ -183,6 +183,20 @@ class TestOutputOverapprox:
             a = rng.normal(size=1)
             assert support(z, a) == pytest.approx(float((exact_out @ a).max()), abs=1e-9)
 
+    def test_above_vertex_cap_starts_from_interval_hull(self):
+        # a d-dimensional box has 2^d vertices: d is the first past the cap
+        d = int(np.ceil(np.log2(VZONO_CAP + 1)))
+        w = np.arange(1.0, d * d + 1).reshape(d, d) % 7 - 3
+        for dim, base_vertices in ((d - 1, 2 ** (d - 1)), (d, 1)):
+            net = Network([Layer(w[:dim, :dim], np.ones(dim), IDENTITY)])
+            s = box_polytope(-np.ones(dim), np.ones(dim))
+            z = output_overapprox(net, s, 0)
+            assert z.num_base_vertices == base_vertices
+            # the hull of a box is the box: supports stay exact
+            exact_out = forward_batch(net, s.input_vertices)
+            for a in np.eye(dim)[:3]:
+                assert support(z, a) == pytest.approx(float((exact_out @ a).max()), abs=1e-9)
+
     def test_sound_on_sampled_points(self):
         rng = np.random.default_rng(2)
         net = fx.random_network([3, 5, 4, 2], seed=12)
@@ -327,6 +341,19 @@ class TestReachUnsafe:
         # the small box's group finishes in 52 sets, the full box's stops at 9
         assert stats == err.value.stats
         assert stats.explored_sets == 61
+
+    def test_exact_final_sets_max_sets_total_and_sorted_partial_regions(self):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        prop = unit_prop(2, single_constraint([1.0, -1.0]))
+        stats = ReachStats()
+        with pytest.raises(MaxSetsExceeded) as err:
+            exact_final_sets(net, prop, ReachOptions(max_sets=30), stats, regions=[])
+        assert stats == err.value.stats
+        assert stats.explored_sets == 31
+        partial = err.value.regions["p"]
+        assert len(partial) > 1
+        keys = [(r.input_poly.shape[0], (np.round(r.input_poly, 12) + 0.0).tobytes()) for r in partial]
+        assert keys == sorted(keys)
 
     def test_grouped_stats_add_up_solo_runs(self):
         net = fx.random_network([2, 5, 4, 2], seed=21)
@@ -587,18 +614,20 @@ class TestExactOutputDomain:
         w = np.array([[1.0, 2.0], [0.0, 1.0]])
         net = Network([Layer(w, np.array([0.5, 0.0]), IDENTITY)])
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        outs = exact_output_domain(net, prop)
-        assert len(outs) == 1
+        finals = exact_final_sets(net, prop)
+        assert len(finals) == 1
         box = box_polytope(prop.input_lb, prop.input_ub)
         assert np.allclose(
-            np.sort(outs[0], axis=0), np.sort(box.input_vertices @ w.T + [0.5, 0.0], axis=0)
+            np.sort(finals[0].current_vertices, axis=0),
+            np.sort(box.input_vertices @ w.T + [0.5, 0.0], axis=0),
         )
 
     def test_set_count_bounded_by_relu_count(self):
         net = fx.random_network([2, 4, 3, 2], seed=24)
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        outs = exact_output_domain(net, prop)
-        assert len(outs) <= 2 ** 7
+        finals = exact_final_sets(net, prop)
+        assert all(s.current_vertices.shape[1] == 2 for s in finals)
+        assert len(finals) <= 2 ** 7
 
     def test_sampled_outputs_interpolate_in_containing_region(self):
         net = fx.random_network([2, 5, 4, 2], seed=25)
