@@ -291,6 +291,14 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     return regions, safe_sets, final_sets
 
 
+def _check_input_dim(net, prop):
+    if len(prop.input_lb) != net.input_dim:
+        raise ValueError(
+            f"property {prop.name!r} is {len(prop.input_lb)}-dimensional, "
+            f"network expects {net.input_dim}"
+        )
+
+
 def reach_unsafe(net, prop, opts=None, stats=None):
     """All unsafe input regions of one property, in canonical order.
 
@@ -318,11 +326,7 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     """
     groups = {}
     for p in properties:
-        if len(p.input_lb) != net.input_dim:
-            raise ValueError(
-                f"property {p.name!r} is {len(p.input_lb)}-dimensional, "
-                f"network expects {net.input_dim}"
-            )
+        _check_input_dim(net, p)
         key = (p.input_lb.tobytes(), p.input_ub.tobytes())
         groups.setdefault(key, []).append(p)
     regions, safe_sets, _ = _explore(
@@ -347,6 +351,7 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     list receives the unsafe regions in canonical order. They are the regions
     reach_unsafe returns: the filter prunes only subtrees that hold none.
     """
+    _check_input_dim(net, prop)
     opts = replace(opts or ReachOptions(), use_filter=False)
     props = [] if regions is None else [prop]
     found, _, final_sets = _explore(
@@ -357,22 +362,40 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices))
 
 
+def _half_hull(pts):
+    """One chain of Andrew's monotone chain over lexicographically sorted
+    distinct points; a turn that is not strictly left is popped, so
+    collinear boundary points are dropped."""
+    chain = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def projection_polygon(points, i, j):
     """Convex hull of output vertices projected on axes (i, j), as a vertex
-    list for plotting; degenerate projections collapse to their extremes."""
+    list for plotting: counter-clockwise from the lexicographically smallest
+    vertex, with coordinates rounded to 1e-12. Collinear boundary points are
+    dropped, so a degenerate projection collapses to its two lexicographic
+    extremes (or its one distinct point). Raises ValueError on non-finite
+    points."""
     pts = np.asarray(points, float)[:, [i, j]]
-    pts = np.unique(np.round(pts, 12) + 0.0, axis=0)
-    if pts.shape[0] <= 2:
-        return pts.tolist()
-    # imported here: loading scipy.spatial adds tens of MB and tenths of a
-    # second to processes that never draw a polygon (verify, plain repair)
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        return pts[ConvexHull(pts).vertices].tolist()
-    except QhullError:  # collinear points: qhull has no 2-d hull to build
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        return [pts[order[0]].tolist(), pts[order[-1]].tolist()]
+    if not np.isfinite(pts).all():
+        raise ValueError("projection points must be finite")
+    pts = np.round(pts, 12) + 0.0
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct].tolist()
+    if len(pts) <= 2:
+        return pts
+    return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
 
 
 def property_to_dict(prop):

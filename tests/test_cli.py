@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON outputs, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relurepair
 from relurepair import fixtures as fx
 from relurepair.cli import _load_properties, main
 from relurepair.model import forward, load_nnet, save_nnet
@@ -78,6 +82,19 @@ class TestReach:
         code = run(["reach", "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json", f"--project={axes}", "--out", out])
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "reach"])
+    def test_property_of_wrong_dimension_exits_two(self, fixture_dir, tmp_path, capsys, command):
+        props = json.loads((fixture_dir / "toy_props.json").read_text())
+        props[0]["lb"].append(-1.0)
+        props[0]["ub"].append(1.0)
+        path = tmp_path / "props3.json"
+        path.write_text(json.dumps(props))
+        out = tmp_path / "r.json"
+        assert run([command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]) == 2
+        want = "error: property 'toy-y1-not-below-y2' is 3-dimensional, network expects 2"
+        assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
     def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
@@ -233,6 +250,45 @@ class TestRepair:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
         assert not out.exists() and not out_net.exists()
+
+
+NO_SCIPY = """
+import json, os, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+from relurepair.cli import main
+fx, out = sys.argv[1], sys.argv[2]
+common = ["--net", os.path.join(fx, "toy_unsafe.nnet"), "--props", os.path.join(fx, "toy_props.json"),
+          "--project", "0,1"]
+codes = [
+    main(["fixtures", "--out", fx]),
+    main(["reach", *common, "--out", os.path.join(out, "reach.json")]),
+    main(["repair", *common, "--train-data", os.path.join(fx, "toy_train.json"),
+          "--test-data", os.path.join(fx, "toy_test.json"), "--lr", "0.05", "--epochs", "5",
+          "--seed", "1", "--max-iterations", "2", "--out", os.path.join(out, "repair.json"),
+          "--out-net", os.path.join(out, "fixed.nnet")]),
+]
+print(json.dumps(codes))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(relurepair.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "fx"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fixtures_code, reach_code, repair_code = json.loads(proc.stdout.splitlines()[-1])
+    assert (fixtures_code, reach_code) == (0, 0), proc.stderr
+    assert repair_code in (0, 3), proc.stderr
+    reach = json.loads((tmp_path / "reach.json").read_text())["properties"][0]
+    assert reach["reachable_sets"] and reach["unsafe_regions"]
+    assert all(e["projection"] for e in reach["reachable_sets"] + reach["unsafe_regions"])
+    first = json.loads((tmp_path / "repair.json").read_text())["report"]["iterations"][0]
+    for proj in first["projections"].values():
+        assert proj["reachable"] and proj["unsafe"]
+        assert all(proj["reachable"]) and all(proj["unsafe"])
 
 
 class TestBench:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from relurepair import fixtures as fx
 from relurepair import fvim
@@ -434,6 +435,38 @@ class TestSerialEngineCounters:
         assert got == want
 
 
+def qhull_polygon(points):
+    """Reference hull: Qhull on the distinct rounded points, with a collinear
+    or two-point set collapsed to its lexicographic extremes."""
+    pts = np.unique(np.round(np.asarray(points, float), 12) + 0.0, axis=0)
+    if len(pts) <= 2:
+        return pts.tolist()
+    try:
+        return pts[ConvexHull(pts).vertices].tolist()
+    except QhullError:  # collinear: no 2-d hull
+        return [pts[0].tolist(), pts[-1].tolist()]
+
+
+@st.composite
+def hull_clouds(draw):
+    """3-40 small-integer 2-d points: free clouds with duplicates, points on
+    one line (vertical lines included), each nudged by an offset that the
+    1e-12 rounding removes."""
+    n = draw(st.integers(3, 40))
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["cloud", "line", "vertical"]))
+    if kind == "cloud":
+        pts = draw(st.lists(st.tuples(small, small), min_size=n, max_size=n))
+    else:
+        x0, y0 = draw(small), draw(small)
+        dx, dy = (0, 1) if kind == "vertical" else (draw(st.integers(1, 3)), draw(small))
+        ts = draw(st.lists(small, min_size=n, max_size=n))
+        pts = [(x0 + t * dx, y0 + t * dy) for t in ts]
+    nudge = draw(st.lists(st.sampled_from([0.0, 1e-14, -1e-14, 4e-13, -4e-13]),
+                          min_size=2 * n, max_size=2 * n))
+    return np.asarray(pts, float) + np.reshape(nudge, (n, 2))
+
+
 class TestProjectionPolygon:
     def test_triangle_keeps_hull_vertices(self):
         pts = np.array([[0.0, 0.0, 7.0], [2.0, 0.0, 7.0], [0.0, 2.0, 7.0], [0.5, 0.5, 7.0]])
@@ -451,6 +484,20 @@ class TestProjectionPolygon:
         pts = np.array([[np.nan, 0.0], [1.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             projection_polygon(pts, 0, 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(pts=hull_clouds())
+    def test_matches_qhull(self, pts):
+        got = projection_polygon(pts, 0, 1)
+        want = qhull_polygon(pts)
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+        if len(got) <= 2:
+            assert got == want  # lexicographic extremes, smallest first
+        else:
+            assert got[0] == min(got)
+            x, y = np.asarray(got).T
+            assert np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) > 0
+
 
 
 class TestNonFiniteInputs:
@@ -621,6 +668,13 @@ class TestExactOutputDomain:
             np.sort(finals[0].current_vertices, axis=0),
             np.sort(box.input_vertices @ w.T + [0.5, 0.0], axis=0),
         )
+
+    @pytest.mark.parametrize("regions", [None, []])
+    def test_rejects_property_of_wrong_dimension(self, regions):
+        net = fx.toy_unsafe_network()
+        prop = unit_prop(3, single_constraint([1.0, -1.0]), name="toy-3d")
+        with pytest.raises(ValueError, match="'toy-3d' is 3-dimensional, network expects 2"):
+            exact_final_sets(net, prop, regions=regions)
 
     def test_set_count_bounded_by_relu_count(self):
         net = fx.random_network([2, 4, 3, 2], seed=24)
