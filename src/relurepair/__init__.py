@@ -31,7 +31,6 @@ from .reach import (
     ReachStats,
     SafetyProperty,
     UnsafeDomain,
-    UnsafeRegion,
     backtrack,
     exact_final_sets,
     layer_output,

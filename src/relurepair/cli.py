@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -72,7 +71,6 @@ def _emit(obj, out_path):
 def _reach_options(args):
     return ReachOptions(
         use_filter=args.filter == "on",
-        worker_count=args.workers,
         max_sets=args.max_sets,
     )
 
@@ -118,7 +116,7 @@ def cmd_verify(args):
 def cmd_reach(args):
     net = load_nnet(args.net)
     props = _load_properties(args.props)
-    ropts = _reach_options(args)
+    ropts = ReachOptions(max_sets=args.max_sets)
     i, j = _projection_axes(args, net.output_dim)
     out = {"projection_axes": [i, j], "properties": []}
     for prop in props:
@@ -136,10 +134,10 @@ def cmd_reach(args):
             sets_json.append(entry)
         regions_json = [
             {
-                "property": r.property_name,
-                "input_vertices": r.input_poly.tolist(),
-                "output_vertices": r.output_poly.tolist(),
-                "projection": projection_polygon(r.output_poly, i, j),
+                "property": prop.name,
+                "input_vertices": r.input_vertices.tolist(),
+                "output_vertices": r.current_vertices.tolist(),
+                "projection": projection_polygon(r.current_vertices, i, j),
             }
             for r in regions
         ]
@@ -189,13 +187,13 @@ def cmd_bench(args):
     """Time exact search with the over-approximation filter on versus off."""
     net = load_nnet(args.net)
     props = _load_properties(args.props)
-    base = _reach_options(args)
     rows = []
     totals = {"filtered": [0.0, 0, 0], "unfiltered": [0.0, 0, 0]}
     for prop in props:
         row = {"property": prop.name}
         for label, use_filter in (("filtered", True), ("unfiltered", False)):
-            _, counts = _timed_reach(net, prop, replace(base, use_filter=use_filter), args)
+            opts = ReachOptions(use_filter=use_filter, max_sets=args.max_sets)
+            _, counts = _timed_reach(net, prop, opts, args)
             row[label] = counts
             totals[label][0] += counts.get("wall_time_ms", 0.0)
             totals[label][1] += counts["explored_sets"]
@@ -262,15 +260,19 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--net", required=True, help="NNet network file")
         sp.add_argument("--props", required=True, help="property JSON file")
-        sp.add_argument("--filter", choices=["on", "off"], default="on")
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--max-sets", type=int, default=10**6)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output JSON path (default stdout)")
+
+    def add_filter(sp):
+        sp.add_argument("--filter", choices=["on", "off"], default="on")
+
+    def add_no_timing(sp):
         sp.add_argument("--no-timing", action="store_true", help="omit wall times")
 
     sp = sub.add_parser("verify", help="check each property; exit 1 on any violation")
     add_common(sp)
+    add_filter(sp)
+    add_no_timing(sp)
 
     sp = sub.add_parser("reach", help="dump exact reachable sets and unsafe regions")
     add_common(sp)
@@ -279,6 +281,9 @@ def build_parser():
 
     sp = sub.add_parser("repair", help="retrain until all properties verify safe")
     add_common(sp)
+    add_filter(sp)
+    add_no_timing(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--train-data", required=True, help="training data JSON")
     sp.add_argument("--test-data", required=True, help="test data JSON")
     sp.add_argument("--project", type=_parse_project, default=None,
@@ -295,6 +300,7 @@ def build_parser():
 
     sp = sub.add_parser("bench", help="compare search with the filter on and off")
     add_common(sp)
+    add_no_timing(sp)
 
     sp = sub.add_parser("fixtures", help="write built-in demo networks and properties")
     sp.add_argument("--out", default="fixtures", help="output directory (default ./fixtures)")

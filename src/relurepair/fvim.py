@@ -240,7 +240,7 @@ def facet_halfspaces(s):
     Each incidence row spans a supporting hyperplane of the input polytope;
     the normal is fit by SVD through the facet's vertices and oriented so the
     vertex centroid satisfies the inequality. One SVD per facet row, so
-    reach.UnsafeRegion calls this only when its membership is first tested.
+    exploration never calls this: only a caller testing membership does.
     """
     pts_all = s.input_vertices
     centroid = pts_all.mean(axis=0)

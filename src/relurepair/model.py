@@ -182,6 +182,8 @@ def load_nnet(path):
         )
     if sizes[0] != input_dim or sizes[-1] != output_dim:
         raise NNetFormatError(f"line {lineno}: layer sizes disagree with header counts")
+    if min(sizes) < 1:
+        raise NNetFormatError(f"line {lineno}: layer sizes must be at least 1, got {sizes}")
 
     next_line()  # symmetric flag, unused
     header = {}

@@ -9,7 +9,7 @@ the union of discovered unsafe regions unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,53 +77,19 @@ class SafetyProperty:
 
 
 @dataclass(frozen=True)
-class UnsafeRegion:
-    """One unsafe input polytope paired with its output polytope, row by row.
-
-    incidence: bool facet-vertex incidence matrix over the rows of
-        input_poly (the restricted set's fvim), from which the halfspaces
-        are fitted. Exploration only fills this field, so regions that are
-        never tested for membership pay no fit.
-    input_halfspaces: bounding halfspaces (A, b), A x + b <= 0, of the input
-        polytope. Not a constructor argument: a cache that stays None until
-        the first contains_inputs call fits them from `incidence`.
-    """
-
-    input_poly: np.ndarray
-    output_poly: np.ndarray
-    property_name: str
-    incidence: np.ndarray = None
-    input_halfspaces: tuple = field(default=None, init=False, compare=False, repr=False)
-
-    def contains_inputs(self, points, tol=1e-9):
-        if self.input_halfspaces is None:
-            if self.incidence is None:
-                raise ValueError("region has no incidence matrix to fit its halfspaces from")
-            s = fvim.TrackedSet(self.incidence, self.input_poly, self.output_poly)
-            object.__setattr__(self, "input_halfspaces", fvim.facet_halfspaces(s))
-        return fvim.contains(self.input_halfspaces, points, tol)
-
-
-@dataclass(frozen=True)
 class ReachOptions:
     """Exploration settings.
 
-    The engine is serial: worker_count is accepted and validated for
-    compatibility with existing callers, and every value runs the same
-    single depth-first loop with the same results and stats. max_sets caps
-    the sets one call explores, over all its input boxes. The relaxed
-    filter's base-vertex cap is the module constant VZONO_CAP.
+    max_sets caps the sets one call explores, over all its input boxes. The
+    relaxed filter's base-vertex cap is the module constant VZONO_CAP.
     """
 
     use_filter: bool = True
-    worker_count: int = 1
     max_sets: int = 10**6
 
     def __post_init__(self):
         if self.max_sets < 1:
             raise ValueError("max_sets must be at least 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
 
 
 @dataclass
@@ -194,26 +160,21 @@ def output_overapprox(net, s, from_layer):
     return z
 
 
-def backtrack(s, unsafe, property_name=""):
+def backtrack(s, unsafe):
     """Intersect a fully propagated set with the unsafe output domain and pull
     the result back to input space through the tracked vertices.
 
-    Returns the unsafe region, or None when the set misses the domain. The
-    region shares the restricted set's arrays, which are never written again
-    (a fresh keep_leq child, or the final set itself), and carries its
-    incidence matrix instead of fitted halfspaces.
+    Returns the set restricted to the domain, which is the unsafe region, or
+    None when the set misses the domain. Its input vertices span the unsafe
+    input polytope and its current vertices are their images; its arrays are
+    never written again (a fresh keep_leq child, or the final set itself).
     """
     rest = s
     for a, b in unsafe.constraints:
         rest = fvim.keep_leq(rest, a, b)
         if rest is None:
             return None
-    return UnsafeRegion(
-        input_poly=rest.input_vertices,
-        output_poly=rest.current_vertices,
-        property_name=property_name,
-        incidence=rest.fvim,
-    )
+    return rest
 
 
 def _vertex_key(vertices):
@@ -223,7 +184,7 @@ def _vertex_key(vertices):
 
 def _canonical_key(region):
     """Canonical region order: by vertex count, then by rounded vertex values."""
-    return (region.input_poly.shape[0], _vertex_key(region.input_poly))
+    return (region.num_vertices, _vertex_key(region.input_vertices))
 
 
 def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
@@ -231,9 +192,8 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     of tracked sets per box; a branch is pruned only when provably safe for
     every property of its group.
 
-    Returns (regions by property name, safe (input, output) vertex pairs or
-    None, final sets in exploration order or None). Every call follows one
-    policy:
+    Returns (regions by property name, safe final sets or None, final sets
+    in exploration order or None). Every call follows one policy:
     - opts.max_sets caps the sets explored over all groups. Past it,
       MaxSetsExceeded carries every region found so far (finished groups and
       the partial one) and the call's totals;
@@ -265,13 +225,12 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
                     total.final_sets += 1
                     safe = True
                     for p in props:
-                        region = backtrack(s, p.unsafe, p.name)
+                        region = backtrack(s, p.unsafe)
                         if region is not None:
                             regions[p.name].append(region)
                             safe = False
                     if safe and safe_sets is not None:
-                        # a final set's arrays are never written again: no copy
-                        safe_sets.append((s.input_vertices, s.current_vertices))
+                        safe_sets.append(s)
                     if final_sets is not None:
                         final_sets.append(s)
                     continue
@@ -313,12 +272,13 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     an input box into one exploration; a branch is pruned only when provably
     safe for every property of its group.
 
-    Returns {property name: canonically sorted regions}. The regions carry
-    no fitted halfspaces until they are asked for: each fits them on its
-    first contains_inputs call. When a list is passed as safe_collector it
-    receives, once the call finishes, (input_vertices, output_vertices)
-    pairs of fully-propagated sets that are safe for all properties of their
-    group; the arrays are the sets' own, so copy before writing to them.
+    Returns {property name: canonically sorted regions}, each a
+    fvim.TrackedSet restricted to the unsafe domain. Exploration fits no
+    halfspaces; a caller that tests membership fits them once per region,
+    with fvim.contains(fvim.facet_halfspaces(region), points, tol). When a
+    list is passed as safe_collector it receives, once the call finishes,
+    the fully-propagated sets that are safe for all properties of their
+    group; their arrays are never written again, so copy before writing.
 
     opts.max_sets caps the sets explored by the whole call, across groups.
     On MaxSetsExceeded, exc.stats holds the call's totals, and so does

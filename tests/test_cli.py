@@ -10,7 +10,7 @@ import pytest
 
 import relurepair
 from relurepair import fixtures as fx
-from relurepair.cli import _load_properties, main
+from relurepair.cli import _load_properties, build_parser, main
 from relurepair.model import forward, load_nnet, save_nnet
 from relurepair.reach import ReachStats, exact_final_sets, projection_polygon, reach_unsafe
 
@@ -24,6 +24,25 @@ def fixture_dir(tmp_path_factory):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+IO_FLAGS = ["--net", "--props", "--max-sets", "--out"]
+FLAGS = {
+    "verify": IO_FLAGS + ["--filter", "--no-timing"],
+    "reach": IO_FLAGS + ["--project", "--dump-sets"],
+    "repair": IO_FLAGS + ["--filter", "--no-timing", "--seed", "--train-data", "--test-data",
+                          "--project", "--out-net", "--alpha", "--epsilon", "--floor",
+                          "--max-iterations", "--lr", "--batch-size", "--epochs"],
+    "bench": IO_FLAGS + ["--no-timing"],
+    "fixtures": ["--out", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_each_subcommand_registers_only_flags_it_reads(command):
+    subparsers = next(a for a in build_parser()._actions if a.choices and command in a.choices)
+    got = [a.option_strings[0] for a in subparsers.choices[command]._actions if a.dest != "help"]
+    assert got == FLAGS[command]
 
 
 class TestVerify:
@@ -47,7 +66,7 @@ class TestVerify:
 
     def test_no_timing_output_is_byte_identical(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["verify", "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json", "--no-timing", "--seed", "7"]
+        args = ["verify", "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json", "--no-timing"]
         assert run(args + ["--out", a]) == 1
         assert run(args + ["--out", b]) == 1
         assert a.read_bytes() == b.read_bytes()
@@ -126,10 +145,10 @@ def two_pass_reach(net_path, props_path):
         ]
         regions = [
             {
-                "property": r.property_name,
-                "input_vertices": r.input_poly.tolist(),
-                "output_vertices": r.output_poly.tolist(),
-                "projection": projection_polygon(r.output_poly, i, j),
+                "property": prop.name,
+                "input_vertices": r.input_vertices.tolist(),
+                "output_vertices": r.current_vertices.tolist(),
+                "projection": projection_polygon(r.current_vertices, i, j),
             }
             for r in reach_unsafe(net, prop)
         ]

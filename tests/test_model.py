@@ -96,6 +96,16 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError, match="line 9"):
             load_nnet(p)
 
+    @pytest.mark.parametrize("hidden", ["-1", "0"])
+    def test_layer_size_below_one_reports_sizes_line(self, tmp_path, hidden):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 3, 2], [np.eye(3, 2), np.eye(2, 3)], [np.zeros(3), np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[2] = f"2,{hidden},2,"  # the layer-sizes line
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 3: layer sizes must be at least 1"):
+            load_nnet(p)
+
     @pytest.mark.parametrize(
         "lineno, name, want", [(5, "mins", 2), (6, "maxes", 2), (7, "means", 3), (8, "ranges", 3)]
     )

@@ -27,7 +27,6 @@ from relurepair.reach import (
     ReachStats,
     SafetyProperty,
     UnsafeDomain,
-    UnsafeRegion,
     backtrack,
     VZONO_CAP,
     exact_final_sets,
@@ -221,33 +220,31 @@ class TestBacktrack:
     def test_entirely_inside_returns_same_vertices(self):
         net, s = self._propagated_toy()
         u = single_constraint([1.0, 1.0], -10.0)  # y1 + y2 <= 10 holds everywhere
-        region = backtrack(s, u, "p")
-        assert np.array_equal(region.input_poly, s.input_vertices)
-        assert np.array_equal(region.output_poly, s.current_vertices)
+        assert backtrack(s, u) is s
 
     def test_entirely_outside_returns_none(self):
         net, s = self._propagated_toy()
         u = single_constraint([-1.0, -1.0], 5.0)  # unsafe iff y1 + y2 >= 5: unreachable
-        assert backtrack(s, u, "p") is None
+        assert backtrack(s, u) is None
 
     def test_half_in_case_faithful(self):
         net, s = self._propagated_toy()
         u = single_constraint([1.0, -1.0])  # y1 <= y2
-        region = backtrack(s, u, "p")
+        region = backtrack(s, u)
         rng = np.random.default_rng(3)
-        pts = region_points(rng, region.input_poly, 200)
+        pts = region_points(rng, region.input_vertices, 200)
         margins = u.margins(forward_batch(net, pts))
         assert (margins <= 1e-9).all()
         # points clearly outside the region violate the constraint
         outside = rng.uniform(-1, 1, size=(400, 2))
-        outside = outside[~region.contains_inputs(outside, tol=1e-7)]
+        outside = outside[~contains(facet_halfspaces(region), outside, tol=1e-7)]
         out_margins = u.margins(forward_batch(net, outside))
         assert (out_margins.max(axis=1) > -1e-9).all()
 
     def test_output_rows_are_images_of_input_rows(self):
         net, s = self._propagated_toy()
-        region = backtrack(s, single_constraint([1.0, -1.0]), "p")
-        for x, y in zip(region.input_poly, region.output_poly):
+        region = backtrack(s, single_constraint([1.0, -1.0]))
+        for x, y in zip(region.input_vertices, region.current_vertices):
             assert np.allclose(forward(net, x), y, atol=1e-9)
 
 
@@ -262,7 +259,7 @@ class TestReachUnsafe:
         prop = unit_prop(2, single_constraint([1.0, 0.0]))  # y1 <= 0
         regions = reach_unsafe(net, prop)
         assert len(regions) == 1
-        got = {tuple(np.round(v, 9) + 0.0) for v in regions[0].input_poly}
+        got = {tuple(np.round(v, 9) + 0.0) for v in regions[0].input_vertices}
         assert got == {(-1, -1), (-1, 1), (0, -1), (0, 1)}
 
     def test_filter_on_off_same_regions(self, acceptance_cases):
@@ -271,7 +268,7 @@ class TestReachUnsafe:
             off = reach_unsafe(net, prop, ReachOptions(use_filter=False))
             assert len(on) == len(off)
             for r_on, r_off in zip(on, off):
-                assert np.allclose(r_on.input_poly, r_off.input_poly, atol=1e-9)
+                assert np.allclose(r_on.input_vertices, r_off.input_vertices, atol=1e-9)
 
     def test_max_sets_carries_partial_results(self):
         net = fx.random_network([3, 6, 6, 2], seed=20)
@@ -281,35 +278,21 @@ class TestReachUnsafe:
         assert hasattr(err.value, "regions")
 
     def test_serial_results_bit_stable(self):
-        net = fx.random_network([2, 5, 4, 2], seed=21)
-        prop = unit_prop(2, single_constraint([1.0, -1.0]))
-        a = reach_unsafe(net, prop)
-        b = reach_unsafe(net, prop)
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.input_poly, rb.input_poly)
-            assert np.array_equal(ra.output_poly, rb.output_poly)
-
-    def test_workers_match_serial(self):
-        net = fx.random_network([3, 6, 5, 2], seed=22)
-        prop = unit_prop(3, single_constraint([1.0, -1.0]))
-        serial = reach_unsafe(net, prop, ReachOptions(worker_count=1))
-        parallel = reach_unsafe(net, prop, ReachOptions(worker_count=4))
-        assert len(serial) == len(parallel)
-        for ra, rb in zip(serial, parallel):
-            assert np.array_equal(ra.input_poly, rb.input_poly)
-
-    def test_parallel_stats_schedule_independent(self):
-        from relurepair.reach import ReachStats
-
-        net = fx.random_network([3, 7, 6, 2], seed=55)
-        prop = unit_prop(3, single_constraint([1.0, -1.0]))
-        runs = []
-        for _ in range(3):
-            stats = ReachStats()
-            reach_unsafe(net, prop, ReachOptions(worker_count=8), stats)
-            runs.append((stats.explored_sets, stats.pruned_sets, stats.peak_live_sets))
-        assert runs[0] == runs[1] == runs[2]
+        """Repeated default-option runs return bit-equal regions and equal stats."""
+        for sizes, seed in [([2, 5, 4, 2], 21), ([3, 6, 5, 2], 22), ([3, 7, 6, 2], 55)]:
+            net = fx.random_network(sizes, seed=seed)
+            prop = unit_prop(sizes[0], single_constraint([1.0, -1.0]))
+            runs = []
+            for _ in range(3):
+                stats = ReachStats()
+                runs.append((reach_unsafe(net, prop, stats=stats), stats))
+            first, first_stats = runs[0]
+            for regions, stats in runs[1:]:
+                assert stats == first_stats
+                assert len(regions) == len(first)
+                for ra, rb in zip(first, regions):
+                    assert np.array_equal(ra.input_vertices, rb.input_vertices)
+                    assert np.array_equal(ra.current_vertices, rb.current_vertices)
 
     def test_max_sets_keeps_finished_and_partial_groups(self):
         net = fx.random_network([2, 5, 4, 2], seed=21)
@@ -317,7 +300,7 @@ class TestReachUnsafe:
         small = SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], unsafe)
         full = unit_prop(2, unsafe, name="full")
         opts = ReachOptions(use_filter=False)
-        solo = {p.name: [r.input_poly.tobytes() for r in reach_unsafe(net, p, opts)]
+        solo = {p.name: [r.input_vertices.tobytes() for r in reach_unsafe(net, p, opts)]
                 for p in (small, full)}
         with pytest.raises(MaxSetsExceeded) as err:
             # the small box's group needs 52 sets, the full box's 92
@@ -326,8 +309,8 @@ class TestReachUnsafe:
         assert exc.stats.explored_sets == 60 + 1
         assert exc.stats.peak_live_sets >= 1
         # the finished group carries all its regions, the partial one some
-        assert [r.input_poly.tobytes() for r in exc.regions["small"]] == solo["small"]
-        partial = [r.input_poly.tobytes() for r in exc.regions["full"]]
+        assert [r.input_vertices.tobytes() for r in exc.regions["small"]] == solo["small"]
+        partial = [r.input_vertices.tobytes() for r in exc.regions["full"]]
         assert 0 < len(partial) < len(solo["full"])
         assert set(partial) <= set(solo["full"])
 
@@ -353,7 +336,7 @@ class TestReachUnsafe:
         assert stats.explored_sets == 31
         partial = err.value.regions["p"]
         assert len(partial) > 1
-        keys = [(r.input_poly.shape[0], (np.round(r.input_poly, 12) + 0.0).tobytes()) for r in partial]
+        keys = [(r.input_vertices.shape[0], (np.round(r.input_vertices, 12) + 0.0).tobytes()) for r in partial]
         assert keys == sorted(keys)
 
     def test_grouped_stats_add_up_solo_runs(self):
@@ -379,7 +362,7 @@ class TestReachUnsafe:
             solo = reach_unsafe(net, p)
             assert len(together[p.name]) == len(solo)
             for ra, rb in zip(together[p.name], solo):
-                assert np.allclose(ra.input_poly, rb.input_poly, atol=1e-9)
+                assert np.allclose(ra.input_vertices, rb.input_vertices, atol=1e-9)
 
     def test_safe_collector_covers_safe_sets(self):
         net = fx.toy_unsafe_network()
@@ -405,11 +388,57 @@ class TestReachUnsafe:
         assert len(safe_exact) == 1
 
 
+def forward_cases():
+    """Random nets over [-1, 1]^d with two properties sharing the box:
+    y0 - y1 <= q, near the net's lower quartile of y0 - y1, and the corner
+    y0 >= t0, y1 >= t1, near the medians, so both domains are hit and some
+    final sets miss both."""
+    cases = []
+    for sizes, seed, q, t0, t1 in [
+        ([2, 5, 4, 2], 21, -0.66, -0.1, 0.0),
+        ([3, 6, 5, 2], 22, 0.17, 0.28, -0.06),
+        ([4, 6, 6, 3], 7, -0.44, -0.05, 0.34),
+    ]:
+        e = np.eye(sizes[-1])
+        one = single_constraint(e[0] - e[1], -q)
+        two = UnsafeDomain([(-e[0], t0), (-e[1], t1)])
+        props = [unit_prop(sizes[0], one, "one"), unit_prop(sizes[0], two, "two")]
+        cases.append((fx.random_network(sizes, seed=seed), props))
+    return cases
+
+
+class TestRegionsAndSafeSetsMatchForwardPass:
+    """Every region and every safe set is a set of network input/output rows,
+    inside the unsafe domain for a region and outside it for a safe set."""
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("case", range(len(forward_cases())))
+    def test_rows_match_forward_pass(self, case, use_filter):
+        net, props = forward_cases()[case]
+        safe = []
+        regions = reach_unsafe_all(net, props, ReachOptions(use_filter=use_filter), safe_collector=safe)
+
+        def check_images(s):
+            want = forward_batch(net, s.input_vertices)
+            assert (np.abs(s.current_vertices - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
+
+        for p in props:
+            for region in regions[p.name]:
+                check_images(region)
+                assert (p.unsafe.margins(region.current_vertices) <= 1e-9).all()
+        for s in safe:
+            check_images(s)
+            for p in props:
+                assert (p.unsafe.margins(s.current_vertices).max(axis=1) >= -1e-9).all()
+        assert all(regions.values())
+        if not use_filter:
+            assert safe
+
+
 class TestSerialEngineCounters:
     """Counters of the depth-first loop on fixed nets, unsafe y0 - y1 <= 0
-    over [-1, 1]^d. Every worker_count runs the same serial loop."""
+    over [-1, 1]^d."""
 
-    @pytest.mark.parametrize("worker_count", [1, 8])
     @pytest.mark.parametrize(
         "sizes, seed, use_filter, want",
         [
@@ -422,14 +451,13 @@ class TestSerialEngineCounters:
             ([3, 7, 6, 2], 55, False, (433, 0, 190, 54, 173)),
         ],
     )
-    def test_pinned_counters(self, sizes, seed, use_filter, want, worker_count):
+    def test_pinned_counters(self, sizes, seed, use_filter, want):
         net = fx.random_network(sizes, seed=seed)
         a = np.zeros(sizes[-1])
         a[:2] = [1.0, -1.0]
         prop = unit_prop(sizes[0], single_constraint(a))
         stats = ReachStats()
-        opts = ReachOptions(use_filter=use_filter, worker_count=worker_count)
-        regions = reach_unsafe(net, prop, opts, stats)
+        regions = reach_unsafe(net, prop, ReachOptions(use_filter=use_filter), stats)
         got = (stats.explored_sets, stats.pruned_sets, stats.final_sets,
                stats.peak_live_sets, len(regions))
         assert got == want
@@ -539,33 +567,19 @@ def eagerly_fitted_halfspaces(net, prop):
 
 
 class TestLazyFacetFit:
+    """Exploration fits nothing; a region is the restricted set itself, so
+    the fit a caller makes from it equals the fit made at backtrack time."""
+
     @pytest.mark.parametrize("case", range(len(lazy_fit_cases())))
     def test_cached_fit_matches_eager_fit(self, case):
         net, prop = lazy_fit_cases()[case]
         regions = reach_unsafe(net, prop)
         eager = eagerly_fitted_halfspaces(net, prop)
-        assert sorted(eager) == sorted(r.input_poly.tobytes() for r in regions)
-        rng = np.random.default_rng(case)
-        box_pts = rng.uniform(prop.input_lb, prop.input_ub, size=(300, len(prop.input_lb)))
+        assert sorted(eager) == sorted(r.input_vertices.tobytes() for r in regions)
         for region in regions:
-            assert region.input_halfspaces is None
-            a_want, b_want = eager[region.input_poly.tobytes()]
-            # the region's own vertices sit on the tolerance boundary
-            pts = np.vstack([box_pts, region.input_poly, region_points(rng, region.input_poly, 50)])
-            first = region.contains_inputs(pts)
-            a_got, b_got = region.input_halfspaces
+            a_want, b_want = eager[region.input_vertices.tobytes()]
+            a_got, b_got = facet_halfspaces(region)
             assert np.array_equal(a_got, a_want) and np.array_equal(b_got, b_want)
-            assert np.array_equal(first, contains((a_want, b_want), pts, 1e-9))
-            for tol in (-1e-6, 0.0, 1e-6):
-                assert np.array_equal(
-                    region.contains_inputs(pts, tol=tol), contains((a_want, b_want), pts, tol)
-                )
-            assert region.input_halfspaces[0] is a_got
-
-    def test_region_without_halfspaces_or_incidence_raises(self):
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="incidence"):
-            UnsafeRegion(tri, tri, "p").contains_inputs([[0.1, 0.1]])
 
 
 class TestFacetFitOnlyOnMembership:
@@ -595,18 +609,6 @@ class TestFacetFitOnlyOnMembership:
             assert cli_main(["reach", *files, "--dump-sets", "--out", str(tmp_path / "r.json")]) == 0
         assert fits == []
 
-    def test_contains_inputs_fits_each_region_at_most_once(self, fits):
-        net, prop = lazy_fit_cases()[-1]
-        regions = reach_unsafe(net, prop)
-        pts = np.random.default_rng(1).uniform(prop.input_lb, prop.input_ub, size=(200, 3))
-        first = [r.contains_inputs(pts) for r in regions]
-        assert len(fits) == len(regions)
-        second = [r.contains_inputs(pts) for r in regions]
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        ids = [id(f) for f in fits]
-        assert len(ids) == len(set(ids)) == len(regions)
-        assert all(any(f is r.incidence for r in regions) for f in fits)
-
     def test_repair_fits_nothing(self, fits):
         candidate, prop, train_data, test_data = desk_repair_fixture()
         cfg = RepairConfig(
@@ -628,7 +630,7 @@ def region_volume_ratio(regions, box, samples, seed=0):
         remaining = ~inside
         if not remaining.any():
             break
-        inside[remaining] = region.contains_inputs(pts[remaining])
+        inside[remaining] = contains(facet_halfspaces(region), pts[remaining])
     return float(inside.mean())
 
 

@@ -1,11 +1,13 @@
 """Repair loop: correction geometry, vertex pairs, volume, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relurepair import fixtures as fx
 from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, accuracy, forward
-from relurepair.reach import ReachOptions, SafetyProperty, UnsafeDomain, UnsafeRegion, reach_unsafe
+from relurepair.reach import ReachOptions, SafetyProperty, UnsafeDomain, reach_unsafe
 from relurepair.repair import (
     EXHAUSTED,
     REPAIRED,
@@ -17,6 +19,8 @@ from relurepair.repair import (
     representative_pairs,
     unsafe_volume_ratio,
 )
+
+from conftest import triangle_tracked
 
 
 def identity_prop(a, b):
@@ -60,18 +64,16 @@ class TestRepresentativePairs:
         assert representative_pairs([]) == []
 
     def test_triangle_gives_three_pairs(self):
-        tri_in = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        region = UnsafeRegion(tri_in, tri_in * 2.0, "p", None)
+        region = triangle_tracked([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        region = replace(region, current_vertices=region.input_vertices * 2.0)
         pairs = representative_pairs([region])
         assert len(pairs) == 3
         assert np.array_equal(pairs[1][1], [2.0, 0.0])
 
     def test_deduplicates_across_regions(self):
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        shifted = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        pairs = representative_pairs(
-            [UnsafeRegion(tri, tri, "p", None), UnsafeRegion(shifted, shifted, "p", None)]
-        )
+        tri = triangle_tracked([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        shifted = triangle_tracked([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        pairs = representative_pairs([tri, shifted])
         assert len(pairs) == 4
 
     def test_pairs_are_forward_images(self):
