@@ -277,22 +277,39 @@ class TestReachUnsafe:
             reach_unsafe(net, prop, ReachOptions(max_sets=10, use_filter=False))
         assert hasattr(err.value, "regions")
 
+    @staticmethod
+    def _runs(sizes, seed, n):
+        """n default-option runs of unsafe y0 - y1 <= 0 over [-1, 1]^d, each
+        with its own stats."""
+        net = fx.random_network(sizes, seed=seed)
+        prop = unit_prop(sizes[0], single_constraint([1.0, -1.0]))
+        runs = []
+        for _ in range(n):
+            stats = ReachStats()
+            runs.append((reach_unsafe(net, prop, stats=stats), stats))
+        return runs
+
     def test_serial_results_bit_stable(self):
-        """Repeated default-option runs return bit-equal regions and equal stats."""
-        for sizes, seed in [([2, 5, 4, 2], 21), ([3, 6, 5, 2], 22), ([3, 7, 6, 2], 55)]:
-            net = fx.random_network(sizes, seed=seed)
-            prop = unit_prop(sizes[0], single_constraint([1.0, -1.0]))
-            runs = []
-            for _ in range(3):
-                stats = ReachStats()
-                runs.append((reach_unsafe(net, prop, stats=stats), stats))
-            first, first_stats = runs[0]
-            for regions, stats in runs[1:]:
-                assert stats == first_stats
-                assert len(regions) == len(first)
-                for ra, rb in zip(first, regions):
-                    assert np.array_equal(ra.input_vertices, rb.input_vertices)
-                    assert np.array_equal(ra.current_vertices, rb.current_vertices)
+        (a, _), (b, _) = self._runs([2, 5, 4, 2], 21, 2)
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.input_vertices, rb.input_vertices)
+            assert np.array_equal(ra.current_vertices, rb.current_vertices)
+
+    def test_workers_match_serial(self):
+        """There is one serial loop: two runs on a deeper net give
+        bit-equal regions."""
+        (a, _), (b, _) = self._runs([3, 6, 5, 2], 22, 2)
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.input_vertices, rb.input_vertices)
+            assert np.array_equal(ra.current_vertices, rb.current_vertices)
+
+    def test_parallel_stats_schedule_independent(self):
+        """Every counter, the peak included, is equal over three runs."""
+        runs = [stats for _, stats in self._runs([3, 7, 6, 2], 55, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].explored_sets > 0 and runs[0].peak_live_sets > 1
 
     def test_max_sets_keeps_finished_and_partial_groups(self):
         net = fx.random_network([2, 5, 4, 2], seed=21)
@@ -437,8 +454,10 @@ class TestRegionsAndSafeSetsMatchForwardPass:
 
 class TestSerialEngineCounters:
     """Counters of the depth-first loop on fixed nets, unsafe y0 - y1 <= 0
-    over [-1, 1]^d."""
+    over [-1, 1]^d. `calls` back-to-back calls into one ReachStats add up
+    the counts and keep the peak: no call leaves state behind for the next."""
 
+    @pytest.mark.parametrize("calls", [1, 8])
     @pytest.mark.parametrize(
         "sizes, seed, use_filter, want",
         [
@@ -451,16 +470,18 @@ class TestSerialEngineCounters:
             ([3, 7, 6, 2], 55, False, (433, 0, 190, 54, 173)),
         ],
     )
-    def test_pinned_counters(self, sizes, seed, use_filter, want):
+    def test_pinned_counters(self, sizes, seed, use_filter, want, calls):
         net = fx.random_network(sizes, seed=seed)
         a = np.zeros(sizes[-1])
         a[:2] = [1.0, -1.0]
         prop = unit_prop(sizes[0], single_constraint(a))
         stats = ReachStats()
-        regions = reach_unsafe(net, prop, ReachOptions(use_filter=use_filter), stats)
+        for _ in range(calls):
+            regions = reach_unsafe(net, prop, ReachOptions(use_filter=use_filter), stats)
         got = (stats.explored_sets, stats.pruned_sets, stats.final_sets,
                stats.peak_live_sets, len(regions))
-        assert got == want
+        explored, pruned, final, peak, n_regions = want
+        assert got == (calls * explored, calls * pruned, calls * final, peak, n_regions)
 
 
 def qhull_polygon(points):
