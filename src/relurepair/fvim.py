@@ -4,12 +4,18 @@ A tracked set carries one linear-region polytope of the input space (its
 vertices plus the facet-vertex incidence matrix) together with the images of
 those vertices at the current point of propagation. Hyperplane splits operate
 on the incidence structure directly, so no LP solving is ever needed.
+
+A split interpolates each new vertex once, in input and current coordinates
+together, into one block that both children gather from. Every child owns
+exact-size arrays: none is a view that would keep a larger block, or an
+ancestor's vertices, alive. keep_leq builds only the side it keeps. No
+function writes to the arrays of a set it is given.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +109,7 @@ def affine_map(s, w, b):
     b = np.asarray(b, float)
     if w.shape[1] != s.current_dim:
         raise ValueError(f"W has {w.shape[1]} columns, set is {s.current_dim}-dimensional")
-    return replace(s, current_vertices=s.current_vertices @ w.T + b)
+    return TrackedSet(s.fvim, s.input_vertices, s.current_vertices @ w.T + b, s.layer_cursor)
 
 
 def dim_bounds(s, i):
@@ -113,35 +119,80 @@ def dim_bounds(s, i):
 
 
 def _dedupe_rows(mat):
-    """Drop duplicate rows, keeping first occurrences in order."""
-    keys = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1])))[:, 0]
-    _, first = np.unique(keys, return_index=True)  # stable: first occurrences
-    if len(first) == mat.shape[0]:
+    """Drop duplicate rows, keeping first occurrences in order. A matrix with
+    no duplicate row is returned as it is."""
+    n = mat.shape[0]
+    width = mat.shape[1] * mat.itemsize
+    raw = mat.tobytes()
+    keys = [raw[k:k + width] for k in range(0, n * width, width)]
+    if len(set(keys)) == n:
         return mat
-    first.sort()
-    return mat[first]
+    first = {}
+    for r, key in enumerate(keys):
+        first.setdefault(key, r)
+    return mat[list(first.values())]
 
 
-def _make_child(s, keep_idx, on_keep, new_cols, new_inputs, new_currents):
-    """Assemble one side of a split: restricted columns + interpolated vertices
-    + the split-hyperplane facet row; under-incident facet rows are dropped."""
+def _cut(s, values):
+    """The part of a split both children share.
+
+    A negative/positive vertex pair is an edge iff its columns share >= d-1
+    facets; each edge gives one new vertex on the hyperplane, interpolated
+    in input and current coordinates at once. Returns (rows, incidence, neg,
+    pos): rows stacks [input | current] of the parent's vertices and then the
+    new ones, and incidence holds the parent's facets over the same columns
+    plus a last row for the split hyperplane.
+    """
+    neg = values < -ON_PLANE_TOL
+    pos = values > ON_PLANE_TOL
     d = s.input_dim
-    nk = len(keep_idx)
-    nv = nk + len(new_inputs)
-    if nv < d + 1:
-        logger.warning("discarding degenerate split child with %d vertices in %d-d", nv, d)
-        return None
-    inputs = np.concatenate((s.input_vertices[keep_idx], new_inputs))
-    currents = np.concatenate((s.current_vertices[keep_idx], new_currents))
-    nf = s.fvim.shape[0]
-    fvim = np.empty((nf + 1, nv), dtype=bool)
-    fvim[:nf, :nk] = s.fvim[:, keep_idx]
-    fvim[:nf, nk:] = new_cols
-    fvim[nf, :nk] = on_keep  # the split-hyperplane row
-    fvim[nf, nk:] = True
+    nf, nv = s.fvim.shape
+    neg_idx = neg.nonzero()[0]
+    pos_idx = pos.nonzero()[0]
 
-    fvim = fvim[fvim.sum(axis=1) >= max(d, 1)]
-    return TrackedSet(_dedupe_rows(fvim), inputs, currents, s.layer_cursor)
+    # The shared-facet counts are small integers, exact in float32 (BLAS-backed,
+    # unlike integer matmul). Row-major nonzero order is negative-major,
+    # positive-minor, the order in which the new vertices are appended.
+    f = s.fvim.astype(np.float32)
+    ei, ej = (f.take(neg_idx, axis=1).T @ f.take(pos_idx, axis=1) >= d - 1).nonzero()
+    p = neg_idx.take(ei)
+    q = pos_idx.take(ej)
+    n = nv + len(p)
+    rows = np.empty((n, d + s.current_dim))
+    rows[:nv, :d] = s.input_vertices
+    rows[:nv, d:] = s.current_vertices
+    vp = values.take(p)
+    t = (vp / (vp - values.take(q)))[:, None]
+    a = rows.take(p, axis=0)
+    np.add(a, t * (rows.take(q, axis=0) - a), out=rows[nv:])
+
+    incidence = np.empty((nf + 1, n), dtype=bool)
+    incidence[:nf, :nv] = s.fvim
+    np.logical_and(s.fvim.take(p, axis=1), s.fvim.take(q, axis=1), out=incidence[:nf, nv:])
+    incidence[nf, :nv] = ~(neg | pos)  # the split-hyperplane row
+    incidence[nf, nv:] = True
+    return rows, incidence, neg, pos
+
+
+def _side(s, rows, incidence, drop):
+    """One child of a cut: every vertex but the parent's `drop` ones, new
+    vertices last. Facet rows with fewer than d vertices are dropped, as are
+    repeated rows. None when too few vertices are left to span the space."""
+    d = s.input_dim
+    keep = np.empty(rows.shape[0], dtype=bool)
+    keep[:len(drop)] = ~drop
+    keep[len(drop):] = True
+    cols = keep.nonzero()[0]
+    if len(cols) < d + 1:
+        logger.warning("discarding degenerate split child with %d vertices in %d-d", len(cols), d)
+        return None
+    fv = incidence.take(cols, axis=1)
+    fv = fv[np.add.reduce(fv, axis=1) >= max(d, 1)]
+    # one exact-size array each: a slice of the gathered rows would keep the
+    # other half alive as long as the child
+    vertices = rows.take(cols, axis=0)
+    return TrackedSet(_dedupe_rows(fv), vertices[:, :d].copy(), vertices[:, d:].copy(),
+                      s.layer_cursor)
 
 
 def _split(s, values):
@@ -152,47 +203,22 @@ def _split(s, values):
     children. Returns (negative_child, positive_child); either may be None
     when degenerate. Callers guarantee both strict sides are populated.
     """
-    neg = values < -ON_PLANE_TOL
-    pos = values > ON_PLANE_TOL
-    on = ~neg & ~pos
-    d = s.input_dim
-    neg_idx = np.flatnonzero(neg)
-    pos_idx = np.flatnonzero(pos)
-
-    # A negative/positive vertex pair is an edge iff its columns share >= d-1
-    # facets. The counts are small integers, exact in float32 (BLAS-backed,
-    # unlike integer matmul). Row-major nonzero order is negative-major,
-    # positive-minor, the order in which the new vertices are appended.
-    f = s.fvim.astype(np.float32)
-    shared = f[:, neg_idx].T @ f[:, pos_idx]
-    ei, ej = np.nonzero(shared >= d - 1)
-    p = neg_idx[ei]
-    q = pos_idx[ej]
-    vp = values[p]
-    t = (vp / (vp - values[q]))[:, None]
-    iv, cv = s.input_vertices[p], s.current_vertices[p]
-    new_inputs = iv + t * (s.input_vertices[q] - iv)
-    new_currents = cv + t * (s.current_vertices[q] - cv)
-    new_cols = s.fvim[:, p] & s.fvim[:, q]
-
-    neg_keep = np.flatnonzero(neg | on)
-    pos_keep = np.flatnonzero(pos | on)
-    neg_child = _make_child(s, neg_keep, on[neg_keep], new_cols, new_inputs, new_currents)
-    pos_child = _make_child(s, pos_keep, on[pos_keep], new_cols, new_inputs, new_currents)
-    return neg_child, pos_child
+    rows, incidence, neg, pos = _cut(s, values)
+    return _side(s, rows, incidence, pos), _side(s, rows, incidence, neg)
 
 
-def _zero_column(s, i):
+def _with_column(s, i, values):
     cur = s.current_vertices.copy()
-    cur[:, i] = 0.0
-    return replace(s, current_vertices=cur)
+    cur[:, i] = values
+    return TrackedSet(s.fvim, s.input_vertices, cur, s.layer_cursor)
 
 
 def split_by_neuron(s, i):
     """Process ReLU neuron i: one set if its input range has a single sign,
     otherwise split by the hyperplane x_i = 0 and zero the negative child.
 
-    Returns the resulting tracked sets (one or two).
+    Returns the resulting tracked sets (one or two). The input set is never
+    written: a dead or clamped neuron gets a copy of the current vertices.
     """
     if s.num_vertices < s.input_dim + 1:
         raise DegenerateSetError(
@@ -201,18 +227,15 @@ def split_by_neuron(s, i):
     col = s.current_vertices[:, i]
     lo, hi = col.min(), col.max()
     if hi <= ON_PLANE_TOL:
-        return [_zero_column(s, i)]
+        return [_with_column(s, i, 0.0)]
     if lo >= -ON_PLANE_TOL:
         # clamp sub-tolerance negatives exactly as ReLU would
-        if lo < 0.0:
-            cur = s.current_vertices.copy()
-            cur[:, i] = np.maximum(cur[:, i], 0.0)
-            return [replace(s, current_vertices=cur)]
-        return [s]
+        return [s] if lo >= 0.0 else [_with_column(s, i, np.maximum(col, 0.0))]
     neg_child, pos_child = _split(s, col)
     out = []
     if neg_child is not None:
-        out.append(_zero_column(neg_child, i))
+        neg_child.current_vertices[:, i] = 0.0  # fresh from the gather
+        out.append(neg_child)
     if pos_child is not None:
         out.append(pos_child)
     return out
@@ -222,7 +245,8 @@ def keep_leq(s, alpha, beta):
     """Restrict a tracked set to the halfspace alpha . current + beta <= 0.
 
     Returns the restricted tracked set, or None when the intersection has no
-    interior. Used to pull output-space constraints back to input regions.
+    interior. Only the kept side of a split is built. Used to pull
+    output-space constraints back to input regions.
     """
     alpha = np.asarray(alpha, float)
     values = s.current_vertices @ alpha + beta
@@ -230,8 +254,8 @@ def keep_leq(s, alpha, beta):
         return s
     if values.min() >= -ON_PLANE_TOL:
         return None
-    neg_child, _ = _split(s, values)
-    return neg_child
+    rows, incidence, _, pos = _cut(s, values)
+    return _side(s, rows, incidence, pos)
 
 
 def facet_halfspaces(s):

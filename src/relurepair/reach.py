@@ -36,6 +36,10 @@ class UnsafeDomain:
                 raise ValueError("constraint coefficients must be finite")
             if not np.any(a):
                 raise ValueError("constraint normal must be nonzero")
+            if cons and a.shape != cons[0][0].shape:
+                raise ValueError(
+                    f"constraint normals have unequal shapes {cons[0][0].shape} and {a.shape}"
+                )
             cons.append((a, b))
         object.__setattr__(self, "constraints", tuple(cons))
 
@@ -133,15 +137,16 @@ def layer_output(net, s, layer):
         raise ValueError(f"set cursor is at layer {s.layer_cursor}, not {layer}")
     ly = net.layers[layer]
     mapped = fvim.affine_map(s, ly.weights, ly.bias)
-    sets = [mapped]
+    vals = mapped.current_vertices
+    # the mapped set takes the next layer's cursor; split children inherit it
+    sets = [fvim.TrackedSet(mapped.fvim, mapped.input_vertices, vals, layer + 1)]
     if ly.activation != IDENTITY:
-        vals = mapped.current_vertices
         dead = vals.max(axis=0) <= fvim.ON_PLANE_TOL
         vals[:, dead] = 0.0  # affine_map returned a fresh array
         unsettled = ~dead & (vals.min(axis=0) <= fvim.ON_PLANE_TOL)
         for i in np.flatnonzero(unsettled).tolist():
             sets = [child for cur in sets for child in fvim.split_by_neuron(cur, i)]
-    return [replace(cur, layer_cursor=layer + 1) for cur in sets]
+    return sets
 
 
 def output_overapprox(net, s, from_layer):
@@ -250,12 +255,19 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     return regions, safe_sets, final_sets
 
 
-def _check_input_dim(net, prop):
+def _check_dims(net, prop):
+    """Reject a property whose box or unsafe normals do not fit the network."""
     if len(prop.input_lb) != net.input_dim:
         raise ValueError(
             f"property {prop.name!r} is {len(prop.input_lb)}-dimensional, "
             f"network expects {net.input_dim}"
         )
+    for a, _ in prop.unsafe.constraints:
+        if a.shape != (net.output_dim,):
+            raise ValueError(
+                f"property {prop.name!r} has an unsafe normal of length {a.size}, "
+                f"network has {net.output_dim} outputs"
+            )
 
 
 def reach_unsafe(net, prop, opts=None, stats=None):
@@ -286,7 +298,7 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     """
     groups = {}
     for p in properties:
-        _check_input_dim(net, p)
+        _check_dims(net, p)
         key = (p.input_lb.tobytes(), p.input_ub.tobytes())
         groups.setdefault(key, []).append(p)
     regions, safe_sets, _ = _explore(
@@ -311,7 +323,7 @@ def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
     list receives the unsafe regions in canonical order. They are the regions
     reach_unsafe returns: the filter prunes only subtrees that hold none.
     """
-    _check_input_dim(net, prop)
+    _check_dims(net, prop)
     opts = replace(opts or ReachOptions(), use_filter=False)
     props = [] if regions is None else [prop]
     found, _, final_sets = _explore(

@@ -125,11 +125,16 @@ def relu_layer(z):
     return VZono(c, np.vstack([v, fresh]))
 
 
-def constraint_min(z, alpha, beta):
-    """Exact minimum of alpha . y + beta over all encoded vertices."""
+def _normal(z, alpha):
     alpha = np.asarray(alpha, float)
     if alpha.shape != (z.dim,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({z.dim},)")
+    return alpha
+
+
+def constraint_min(z, alpha, beta):
+    """Exact minimum of alpha . y + beta over all encoded vertices."""
+    alpha = _normal(z, alpha)
     base = z.base_vertices @ alpha + beta
     radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
     return float(base.min()) - radius
@@ -145,15 +150,27 @@ def support(z, alpha):
 
 def is_provably_safe(z, unsafe):
     """True iff the set provably misses the unsafe domain (a conjunction of
-    halfspaces alpha . y + beta <= 0): some constraint is violated everywhere.
+    halfspaces alpha . y + beta <= 0): some constraint is violated everywhere,
+    that is, some constraint_min is positive. All constraints are minimised
+    at once against the stacked normals.
 
     A False result means "possibly unsafe" and exact exploration must go on.
     """
-    constraints = getattr(unsafe, "constraints", unsafe)
-    constraints = list(constraints)
+    constraints = list(getattr(unsafe, "constraints", unsafe))
     if not constraints:
         raise ValueError("empty conjunction would mark the whole space unsafe")
-    return any(constraint_min(z, a, b) > 0.0 for a, b in constraints)
+    normals = np.empty((z.dim, len(constraints)))
+    offsets = np.empty(len(constraints))
+    for k, (a, b) in enumerate(constraints):
+        normals[:, k] = _normal(z, a)
+        offsets[k] = b
+    # ufunc reductions skip the ndarray-method wrappers, whose overhead
+    # outweighs the arithmetic at these sizes. Rounding is monotone, so adding
+    # the offsets after the minimum gives the bits of adding them per vertex.
+    mins = np.minimum.reduce(z.base_vertices @ normals) + offsets
+    if z.num_base_vectors:
+        mins -= np.add.reduce(np.abs(z.base_vectors @ normals))
+    return any(m > 0.0 for m in mins.tolist())
 
 
 def interval_hull(z):

@@ -116,6 +116,19 @@ class TestReach:
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["verify"], ["verify", "--filter", "off"], ["reach"]])
+    def test_unsafe_normal_of_wrong_length_exits_two(self, fixture_dir, tmp_path, capsys, command):
+        props = json.loads((fixture_dir / "toy_props.json").read_text())
+        props[0]["unsafe"][0]["a"].append(0.5)
+        path = tmp_path / "props3.json"
+        path.write_text(json.dumps(props))
+        out = tmp_path / "r.json"
+        assert run([*command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]) == 2
+        want = ("error: property 'toy-y1-not-below-y2' has an unsafe normal of length 3, "
+                "network has 2 outputs")
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists()
+
     def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "toy_unsafe.nnet").read_text().splitlines()
         lines[8] = "nan," + lines[8].split(",", 1)[1]  # first weight row

@@ -308,20 +308,38 @@ def spans(values):
     return values.min() < -ON_PLANE_TOL and values.max() > ON_PLANE_TOL
 
 
+ARRAYS = ("fvim", "input_vertices", "current_vertices")
+
+
 def assert_bit_equal(got, want):
     assert (got is None) == (want is None)
     if want is None:
         return
-    for name in ("fvim", "input_vertices", "current_vertices"):
+    for name in ARRAYS:
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
     assert got.layer_cursor == want.layer_cursor
 
 
+def snapshot(s):
+    return [getattr(s, name).tobytes() for name in ARRAYS]
+
+
+def assert_owns_arrays(children):
+    """A split child's arrays are its own: no view that keeps a larger
+    gathered block (or the parent's arrays) alive."""
+    for child in children:
+        for name in ARRAYS:
+            assert getattr(child, name).base is None, name
+
+
 def checked_split_by_neuron(s, i):
-    """split_by_neuron, checked against the reference when neuron i spans."""
+    """split_by_neuron, checked against the reference when neuron i spans;
+    the parent's arrays must come back unchanged."""
+    before = snapshot(s)
     got = split_by_neuron(s, i)
+    assert snapshot(s) == before
     col = s.current_vertices[:, i]
     if spans(col):
         neg, pos = reference_split(s, col)
@@ -335,15 +353,20 @@ def checked_split_by_neuron(s, i):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_bit_equal(g, w)
+        assert_owns_arrays(got)
     return got
 
 
 def checked_keep_leq(s, alpha, beta):
-    """keep_leq, checked against the reference's negative child on a split."""
+    """keep_leq, checked against the reference's negative child on a split;
+    the parent's arrays must come back unchanged."""
+    before = snapshot(s)
     got = keep_leq(s, alpha, beta)
+    assert snapshot(s) == before
     values = s.current_vertices @ alpha + beta
     if spans(values):
         assert_bit_equal(got, reference_split(s, values)[0])
+        assert_owns_arrays([got] if got is not None else [])
     return got
 
 

@@ -562,6 +562,25 @@ class TestNonFiniteInputs:
             SafetyProperty("p", [-np.inf, -1.0], [1.0, 1.0], single_constraint([1.0, 0.0]))
 
 
+class TestUnsafeNormalLength:
+    def test_unsafe_domain_rejects_unequal_normals(self):
+        with pytest.raises(ValueError, match="unequal shapes"):
+            UnsafeDomain([(np.array([1.0, -1.0]), 0.0), (np.array([1.0, 0.0, 0.5]), 0.0)])
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_reach_unsafe_names_the_property(self, use_filter):
+        prop = unit_prop(2, single_constraint([1.0, -1.0, 0.5]), name="toy-3-out")
+        with pytest.raises(ValueError, match="'toy-3-out' has an unsafe normal of length 3, "
+                                             "network has 2 outputs"):
+            reach_unsafe(fx.toy_unsafe_network(), prop, ReachOptions(use_filter=use_filter))
+
+    @pytest.mark.parametrize("regions", [None, []])
+    def test_exact_final_sets_names_the_property(self, regions):
+        prop = unit_prop(2, single_constraint([1.0]), name="toy-1-out")
+        with pytest.raises(ValueError, match="'toy-1-out' has an unsafe normal of length 1"):
+            exact_final_sets(fx.toy_unsafe_network(), prop, regions=regions)
+
+
 def lazy_fit_cases():
     cases = [
         (fx.toy_unsafe_network(), fx.toy_property()),

@@ -1,7 +1,11 @@
 """Over-approximation sets: conversion, relaxation, bounds, safety check."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relurepair.fvim import TrackedSet, box_polytope
 from relurepair.reach import UnsafeDomain
@@ -306,6 +310,63 @@ class TestIsProvablySafe:
         z = VZono(np.zeros((1, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             is_provably_safe(z, [])
+
+
+COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vzono_and_constraints(draw):
+    """A VZono with no base vector or with several, and 1-5 constraints."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([0, 2, 3, 6]))
+
+    def matrix(rows):
+        return np.array(draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim),
+                                      min_size=rows, max_size=rows)), float).reshape(rows, dim)
+
+    z = VZono(matrix(m), matrix(n))
+    k = draw(st.integers(1, 5))
+    cons = list(zip(matrix(k), draw(st.lists(COORD, min_size=k, max_size=k))))
+    return z, cons
+
+
+# Bound on the rounding error of one constraint minimum over COORD-sized
+# inputs: at most a dozen float64 roundings of sums below 500 in magnitude.
+ROUNDING = 1e-11
+
+
+class TestIsProvablySafeMatchesConstraintMin:
+    """The stacked check against the per-constraint minima it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=vzono_and_constraints())
+    def test_any_positive_minimum(self, case):
+        z, cons = case
+        mins = [constraint_min(z, a, b) for a, b in cons]
+        # one matrix product and one product per normal may round apart, so
+        # the two can disagree only on a minimum within rounding of zero
+        if is_provably_safe(z, cons) != any(m > 0.0 for m in mins):
+            assert min(abs(m) for m in mins) <= ROUNDING
+
+    def test_zero_minimum_is_not_provably_safe(self):
+        # every product is exact: the minimum is 0, which the domain touches
+        z = VZono(np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([[0.0, 1.0]]))
+        assert constraint_min(z, np.array([0.0, 1.0]), 1.0) == 0.0
+        assert not is_provably_safe(z, [(np.array([0.0, 1.0]), 1.0)])
+        assert is_provably_safe(z, [(np.array([0.0, 1.0]), 1.5), (np.array([1.0, 0.0]), 0.0)])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=vzono_and_constraints(), data=st.data())
+    def test_wrong_length_normal_raises_constraint_min_error(self, case, data):
+        z, cons = case
+        bad = np.ones(data.draw(st.sampled_from([z.dim - 1, z.dim + 1])))
+        cons[data.draw(st.integers(0, len(cons) - 1))] = (bad, 0.0)
+        with pytest.raises(ValueError) as want:
+            constraint_min(z, bad, 0.0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            is_provably_safe(z, cons)
 
 
 class TestIntervalHull:
