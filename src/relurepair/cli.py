@@ -1,7 +1,7 @@
 """Command line for verification, reachability dumps, repair and benchmarks.
 
-All machine-readable output is JSON; networks travel as NNet files. Exit
-codes: 0 success (verify: all safe), 1 verify found violations, 2 error,
+All machine-readable output is compact JSON; networks travel as NNet files.
+Exit codes: 0 success (verify: all safe), 1 verify found violations, 2 error,
 3 repair ran out of iterations.
 """
 
@@ -59,13 +59,38 @@ def _save_dataset(data, path):
         f.write("\n")
 
 
-def _emit(obj, out_path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _dumps(obj):
+    # the C encoder runs only without indent; no spaces after separators
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _emit(doc, out_path):
+    """Write one compact JSON document to out_path, or to stdout without one.
+
+    doc is a dict, or an iterable of JSON text chunks that together form one
+    document (see _reach_chunks). The file is written to a temporary name in
+    the same directory and renamed over out_path only once every chunk is
+    out, so an error part-way never leaves a truncated document and leaves
+    any earlier file at out_path untouched.
+    """
+    chunks = [_dumps(doc)] if isinstance(doc, dict) else doc
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "x")
+    except OSError as exc:  # name the path the user gave, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    try:
+        with f:
+            f.writelines(chunks)
+            f.write("\n")
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _reach_options(args):
@@ -117,39 +142,49 @@ def cmd_reach(args):
     net = load_nnet(args.net)
     props = _load_properties(args.props)
     ropts = ReachOptions(max_sets=args.max_sets)
-    i, j = _projection_axes(args, net.output_dim)
-    out = {"projection_axes": [i, j], "properties": []}
+    axes = _projection_axes(args, net.output_dim)
+    explored = []
     for prop in props:
         regions = []
         finals = exact_final_sets(net, prop, ropts, regions=regions)
-        sets_json = []
-        for s in finals:
-            entry = {
-                "output_vertices": s.current_vertices.tolist(),
-                "projection": projection_polygon(s.current_vertices, i, j),
-            }
-            if args.dump_sets:
-                entry["input_vertices"] = s.input_vertices.tolist()
-                entry["incidence"] = s.fvim.astype(int).tolist()
-            sets_json.append(entry)
-        regions_json = [
-            {
-                "property": prop.name,
-                "input_vertices": r.input_vertices.tolist(),
-                "output_vertices": r.current_vertices.tolist(),
-                "projection": projection_polygon(r.current_vertices, i, j),
-            }
-            for r in regions
-        ]
-        out["properties"].append(
-            {
-                "property": prop.name,
-                "reachable_sets": sets_json,
-                "unsafe_regions": regions_json,
-            }
-        )
-    _emit(out, args.out)
+        explored.append((prop.name, finals, regions))
+    _emit(_reach_chunks(explored, axes, args.dump_sets), args.out)
     return 0
+
+
+def _reach_chunks(explored, axes, dump_sets):
+    """The reach document as JSON text: the framing, then one chunk per
+    reachable set and per unsafe region, each encoded from that set's own
+    arrays, so only one entry exists as Python objects at a time. Keys come
+    in the sorted order that _dumps writes."""
+    i, j = axes
+
+    def entry(s, **fields):
+        fields["output_vertices"] = s.current_vertices.tolist()
+        fields["projection"] = projection_polygon(s.current_vertices, i, j)
+        return _dumps(fields)
+
+    def set_entry(s):
+        if not dump_sets:
+            return entry(s)
+        return entry(s, input_vertices=s.input_vertices.tolist(),
+                     incidence=s.fvim.astype(int).tolist())
+
+    yield '{"projection_axes":' + _dumps([i, j]) + ',"properties":['
+    for k, (name, finals, regions) in enumerate(explored):
+        yield ("," if k else "") + '{"property":' + _dumps(name) + ',"reachable_sets":['
+        yield from _comma_separated(set_entry(s) for s in finals)
+        yield '],"unsafe_regions":['
+        yield from _comma_separated(
+            entry(r, property=name, input_vertices=r.input_vertices.tolist()) for r in regions
+        )
+        yield "]}"
+    yield "]}"
+
+
+def _comma_separated(chunks):
+    for k, chunk in enumerate(chunks):
+        yield "," + chunk if k else chunk
 
 
 def cmd_repair(args):

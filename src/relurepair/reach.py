@@ -42,6 +42,9 @@ class UnsafeDomain:
                 )
             cons.append((a, b))
         object.__setattr__(self, "constraints", tuple(cons))
+        # vzono.is_provably_safe reads the normals and offsets stacked once
+        stacked = vzono.stack_constraints(cons) if cons and cons[0][0].ndim == 1 else None
+        object.__setattr__(self, "stacked", stacked)
 
     def holds(self, y, tol=0.0):
         """True when y satisfies every constraint (is inside the unsafe set)."""

@@ -148,22 +148,34 @@ def support(z, alpha):
     return float(base.max()) + radius
 
 
+def stack_constraints(constraints):
+    """(d, k) matrix of the k normals as columns and the (k,) offsets."""
+    normals = np.empty((len(constraints[0][0]), len(constraints)))
+    offsets = np.empty(len(constraints))
+    for k, (a, b) in enumerate(constraints):
+        normals[:, k] = a
+        offsets[k] = b
+    return normals, offsets
+
+
 def is_provably_safe(z, unsafe):
     """True iff the set provably misses the unsafe domain (a conjunction of
     halfspaces alpha . y + beta <= 0): some constraint is violated everywhere,
     that is, some constraint_min is positive. All constraints are minimised
-    at once against the stacked normals.
+    at once against the stacked normals, which an UnsafeDomain builds once;
+    a plain list of (alpha, beta) pairs is stacked on each call.
 
     A False result means "possibly unsafe" and exact exploration must go on.
     """
-    constraints = list(getattr(unsafe, "constraints", unsafe))
-    if not constraints:
-        raise ValueError("empty conjunction would mark the whole space unsafe")
-    normals = np.empty((z.dim, len(constraints)))
-    offsets = np.empty(len(constraints))
-    for k, (a, b) in enumerate(constraints):
-        normals[:, k] = _normal(z, a)
-        offsets[k] = b
+    stacked = getattr(unsafe, "stacked", None)
+    if stacked is None:
+        constraints = list(getattr(unsafe, "constraints", unsafe))
+        if not constraints:
+            raise ValueError("empty conjunction would mark the whole space unsafe")
+        stacked = stack_constraints([(_normal(z, a), b) for a, b in constraints])
+    normals, offsets = stacked
+    if normals.shape[0] != z.dim:
+        raise ValueError(f"alpha has shape ({normals.shape[0]},), expected ({z.dim},)")
     # ufunc reductions skip the ndarray-method wrappers, whose overhead
     # outweighs the arithmetic at these sizes. Rounding is monotone, so adding
     # the offsets after the minimum gives the bits of adding them per vertex.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,22 +141,24 @@ class TestReach:
         assert not out.exists()
 
 
-def two_pass_reach(net_path, props_path):
-    """`reach --dump-sets` output assembled from two explorations per
-    property: unfiltered final sets plus the filtered unsafe regions."""
+def two_pass_reach(net_path, props_path, dump_sets=True):
+    """`reach` output (`--dump-sets` by default) built as one dict from two
+    explorations per property: unfiltered final sets plus the filtered
+    unsafe regions."""
     net = load_nnet(str(net_path))
     i, j = 0, 1
     out = {"projection_axes": [i, j], "properties": []}
     for prop in _load_properties(str(props_path)):
-        sets = [
-            {
+        sets = []
+        for s in exact_final_sets(net, prop):
+            entry = {
                 "output_vertices": s.current_vertices.tolist(),
                 "projection": projection_polygon(s.current_vertices, i, j),
-                "input_vertices": s.input_vertices.tolist(),
-                "incidence": s.fvim.astype(int).tolist(),
             }
-            for s in exact_final_sets(net, prop)
-        ]
+            if dump_sets:
+                entry["input_vertices"] = s.input_vertices.tolist()
+                entry["incidence"] = s.fvim.astype(int).tolist()
+            sets.append(entry)
         regions = [
             {
                 "property": prop.name,
@@ -208,6 +211,113 @@ class TestReachSinglePass:
             exact_final_sets(load_nnet(str(net)), prop, stats=stats)
             unfiltered.append(stats.explored_sets)
         assert explored == unfiltered
+
+
+@pytest.fixture()
+def two_props(fixture_dir, tmp_path):
+    """toy_props.json plus a second property, the reverse inequality, whose
+    name needs JSON escaping."""
+    props = json.loads((fixture_dir / "toy_props.json").read_text())
+    second = dict(props[0], name='y2 "not" below y1 é\\')
+    second["unsafe"] = [{"a": [-1.0, 1.0], "b": 0.0}]
+    path = tmp_path / "two_props.json"
+    path.write_text(json.dumps(props + [second]))
+    return path
+
+
+def reach_args(fixture_dir, props, *extra):
+    return ["reach", "--net", fixture_dir / "toy_unsafe.nnet", "--props", props, *extra]
+
+
+class TestStreamedReach:
+    @pytest.mark.parametrize("dump_sets", [False, True])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_file_parses_to_the_dict(self, fixture_dir, two_props, tmp_path, count, dump_sets):
+        props = fixture_dir / "toy_props.json" if count == 1 else two_props
+        flags = ["--dump-sets"] if dump_sets else []
+        out = tmp_path / "r.json"
+        assert run(reach_args(fixture_dir, props, *flags, "--out", out)) == 0
+        want = json.loads(json.dumps(two_pass_reach(fixture_dir / "toy_unsafe.nnet", props, dump_sets)))
+        data = json.loads(out.read_text())
+        assert data == want
+        assert len(data["properties"]) == count
+        assert all(p["reachable_sets"] and p["unsafe_regions"] for p in data["properties"])
+
+    @pytest.mark.parametrize("dump_sets", [False, True])
+    def test_stdout_parses_to_the_dict(self, fixture_dir, two_props, capsys, dump_sets):
+        flags = ["--dump-sets"] if dump_sets else []
+        capsys.readouterr()
+        assert run(reach_args(fixture_dir, two_props, *flags)) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n") and text.count("\n") == 1
+        want = two_pass_reach(fixture_dir / "toy_unsafe.nnet", two_props, dump_sets)
+        assert json.loads(text) == json.loads(json.dumps(want))
+
+    @pytest.mark.parametrize("earlier", [None, "an earlier document\n"])
+    def test_failure_mid_stream_leaves_out_alone(self, fixture_dir, two_props, tmp_path,
+                                                  monkeypatch, capsys, earlier):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "r.json"
+        if earlier is not None:
+            out.write_text(earlier)
+        calls = []
+
+        def failing(points, i, j):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("projection failed")
+            return projection_polygon(points, i, j)
+
+        monkeypatch.setattr("relurepair.cli.projection_polygon", failing)
+        assert run(reach_args(fixture_dir, two_props, "--out", out)) == 2
+        assert len(calls) == 3, "the stream must have started before the failure"
+        assert "projection failed" in capsys.readouterr().err
+        if earlier is None:
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert list(out_dir.iterdir()) == [out]
+            assert out.read_text() == earlier
+
+    def test_peak_memory_below_three_times_output(self, tmp_path):
+        # building the whole document as Python lists and floats before
+        # encoding it peaked at 13.2 MB on this network; streaming one entry
+        # at a time peaks near 1.3 MB for the 0.9 MB it writes
+        net = tmp_path / "n.nnet"
+        save_nnet(fx.random_network([3, 12, 12, 12, 2], seed=0), net)
+        props = tmp_path / "p.json"
+        props.write_text(json.dumps([{"name": "y0-above-y1", "lb": [-1.0] * 3, "ub": [1.0] * 3,
+                                      "unsafe": [{"a": [-1.0, 1.0], "b": 0.0}]}]))
+        out = tmp_path / "r.json"
+        args = ["reach", "--net", net, "--props", props, "--out", out]
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = out.stat().st_size
+        assert written > 500_000
+        assert peak < 3 * written, f"peak {peak} bytes for {written} bytes written"
+
+
+class TestEmit:
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_dict_output_is_one_compact_line(self, fixture_dir, tmp_path, command):
+        out = tmp_path / "o.json"
+        run([command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json",
+             "--no-timing", "--out", out])
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_missing_out_directory_names_the_out_path(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "v.json"
+        code = run(["verify", "--net", fixture_dir / "toy_safe.nnet", "--props", fixture_dir / "toy_props.json",
+                    "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: [Errno 2] No such file or directory: '{out}'"
+        assert not out.parent.exists()
 
 
 class TestRepair:

@@ -149,6 +149,46 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError):
             load_nnet(p)
 
+    def test_blank_mid_row_field_is_skipped(self, tmp_path):
+        # a field the block parse cannot read sends the layer line by line,
+        # which drops blank fields anywhere on a line
+        p = tmp_path / "blank.nnet"
+        write_nnet(p, [2, 2], [[[1.0, 2.0], [3.0, 4.0]]], [[5.0, 6.0]])
+        text = p.read_text().splitlines()
+        text[8] = "1.0, ,2.0,"
+        text[11] = ",6.0"
+        p.write_text("\n".join(text) + "\n")
+        net = load_nnet(p)
+        assert net.layers[0].weights.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert net.layers[0].bias.tolist() == [5.0, 6.0]
+
+    def test_first_bad_row_wins_within_a_layer(self, tmp_path):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[8] = "1.0,"  # first weight row, one value short
+        text[10] = "x?,"  # first bias row, non-numeric
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 9: layer 0 weight row 0 has 1 values, expected 2$"):
+            load_nnet(p)
+        text[8] = "1.0,0.0,"
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 11: non-numeric token"):
+            load_nnet(p)
+
+    def test_bad_row_before_early_end_is_reported(self, tmp_path):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)])
+        text = p.read_text().splitlines()[:-1]  # drop the last bias row
+        text[9] = "0.0,1.0,7.0,"  # second weight row, one value too many
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 10: layer 0 weight row 1 has 3 values"):
+            load_nnet(p)
+        text[9] = "0.0,1.0,"
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="file ended early"):
+            load_nnet(p)
+
     def test_normalization_stored_and_on_request(self, tmp_path):
         p = tmp_path / "norm.nnet"
         write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)], mins=[-5.0, 0.0], maxes=[5.0, 9.0])

@@ -4,10 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relurepair.fvim import TrackedSet, box_polytope
+from relurepair import vzono
 from relurepair.reach import UnsafeDomain
 from relurepair.vzono import (
     VZono,
@@ -367,6 +368,35 @@ class TestIsProvablySafeMatchesConstraintMin:
             constraint_min(z, bad, 0.0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             is_provably_safe(z, cons)
+
+
+class TestIsProvablySafeOnDomain:
+    """An UnsafeDomain stacks its normals and offsets once, at construction."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=vzono_and_constraints())
+    def test_domain_matches_plain_list(self, case):
+        z, cons = case
+        assume(all(np.any(a) for a, _ in cons))
+        assert is_provably_safe(z, UnsafeDomain(cons)) == is_provably_safe(z, cons)
+
+    def test_domain_is_not_restacked(self, monkeypatch):
+        u = UnsafeDomain([(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), -1.0)])
+
+        def restack(constraints):
+            raise AssertionError("stacked again")
+
+        monkeypatch.setattr(vzono, "stack_constraints", restack)
+        z = VZono(np.array([[2.0, 0.0]]), np.array([[0.1, 0.0]]))
+        assert is_provably_safe(z, u)
+
+    def test_wrong_dimension_raises_constraint_min_error(self):
+        z = VZono(np.zeros((1, 2)), np.zeros((0, 2)))
+        a = np.ones(3)
+        with pytest.raises(ValueError) as want:
+            constraint_min(z, a, 0.0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            is_provably_safe(z, UnsafeDomain([(a, 0.0)]))
 
 
 class TestIntervalHull:
