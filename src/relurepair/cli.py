@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import stat
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -68,29 +71,47 @@ def _emit(doc, out_path):
     """Write one compact JSON document to out_path, or to stdout without one.
 
     doc is a dict, or an iterable of JSON text chunks that together form one
-    document (see _reach_chunks). The file is written to a temporary name in
-    the same directory and renamed over out_path only once every chunk is
-    out, so an error part-way never leaves a truncated document and leaves
-    any earlier file at out_path untouched.
+    document (see _reach_chunks). Into a new or regular file (through any
+    symlinks) the document goes first to a temporary file in the same
+    directory, so an error part-way never leaves a truncated document and
+    leaves any earlier file untouched. A device or a pipe is written in place.
     """
     chunks = [_dumps(doc)] if isinstance(doc, dict) else doc
     if not out_path:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
+        _write(sys.stdout, chunks)
         return
-    tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
-        f = open(tmp, "x")
+        st = os.stat(out_path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(out_path, "w") as f:
+            _write(f, chunks)
+        return
+    target = os.path.realpath(out_path)
+    directory, name = os.path.split(target)
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=name + ".", dir=directory)
     except OSError as exc:  # name the path the user gave, not the temporary one
         raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
-        with f:
-            f.writelines(chunks)
-            f.write("\n")
-        os.replace(tmp, out_path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        with open(fd, "w") as f:
+            _write(f, chunks)
+        if st is None or (st.st_nlink, st.st_uid, st.st_gid) == (1, os.geteuid(), os.getegid()):
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask if st is None else stat.S_IMODE(st.st_mode))
+            os.replace(tmp, target)
+        else:  # a file with other links or another owner keeps its inode
+            shutil.copyfile(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write(f, chunks):
+    f.writelines(chunks)
+    f.write("\n")
 
 
 def _reach_options(args):

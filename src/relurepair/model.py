@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,45 +144,6 @@ def _parse_numbers(line, lineno, kind=float):
         raise NNetFormatError(f"line {lineno}: non-numeric token in {line.strip()!r}") from None
 
 
-def _parse_rows(lines, linenos, k, rows, cols):
-    """Values of layer k's weight rows then bias rows, one line at a time;
-    raises on the first malformed row, naming its line."""
-    vals = []
-    for r, (line, lineno) in enumerate(zip(lines, linenos)):
-        row = _parse_numbers(line, lineno)
-        kind, i, want = ("weight", r, cols) if r < rows else ("bias", r - rows, 1)
-        if len(row) != want:
-            raise NNetFormatError(
-                f"line {lineno}: layer {k} {kind} row {i} has {len(row)} values, expected {want}"
-            )
-        vals += row
-    return vals
-
-
-def _row_fields(line, width):
-    row = line.split(",")
-    if not row[-1].strip():
-        row.pop()  # the usual trailing comma
-    if len(row) != width:
-        raise ValueError("row length")
-    return row
-
-
-def _parse_layer(lines, linenos, k, rows, cols):
-    """_parse_rows as one block, into an array: one float() map over the
-    fields of every row, split one line at a time as the map reaches it, so
-    only one line's strings are alive at once. A field that does not parse
-    (a blank one mid-line included) or a row of the wrong length sends the
-    block through _parse_rows, so a malformed file gets the same values or
-    the same error."""
-    widths = [cols] * rows + [1] * rows
-    fields = itertools.chain.from_iterable(map(_row_fields, lines, widths))
-    try:
-        return np.fromiter(map(float, fields), float, rows * cols + rows)
-    except ValueError:
-        return np.array(_parse_rows(lines, linenos, k, rows, cols))
-
-
 def load_nnet(path):
     """Load a network from an NNet text file.
 
@@ -241,22 +201,30 @@ def load_nnet(path):
     layers = []
     for k in range(num_layers):
         rows, cols = sizes[k + 1], sizes[k]
-        lines, linenos = [], []  # each weight row, then each bias row
-        try:
-            for _ in range(2 * rows):
-                lines.append(next_line())
-                linenos.append(lineno)
-        except NNetFormatError:
-            _parse_rows(lines, linenos, k, rows, cols)  # a bad row before the end comes first
-            raise
-        vals = _parse_layer(lines, linenos, k, rows, cols)
-        w = vals[: rows * cols].reshape(rows, cols)
-        b = vals[rows * cols :]
+        w = np.empty((rows, cols))
+        row_lines = []  # line of each weight row, then of each bias row
+        for r in range(rows):
+            vals = _parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
+            if len(vals) != cols:
+                raise NNetFormatError(
+                    f"line {lineno}: layer {k} weight row {r} has {len(vals)} values, expected {cols}"
+                )
+            w[r] = vals
+        b = np.empty(rows)
+        for r in range(rows):
+            vals = _parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
+            if len(vals) != 1:
+                raise NNetFormatError(
+                    f"line {lineno}: layer {k} bias row {r} has {len(vals)} values, expected 1"
+                )
+            b[r] = vals[0]
         # float() parses "nan" and "inf"; one check per layer rejects them
         finite = np.concatenate([np.isfinite(w).all(axis=1), np.isfinite(b)])
         if not finite.all():
             raise NNetFormatError(
-                f"line {linenos[int(np.argmin(finite))]}: layer {k} has a non-finite value"
+                f"line {row_lines[int(np.argmin(finite))]}: layer {k} has a non-finite value"
             )
         act = IDENTITY if k == num_layers - 1 else RELU
         layers.append(Layer(w, b, act))

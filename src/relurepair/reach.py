@@ -9,7 +9,7 @@ the union of discovered unsafe regions unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,12 +26,16 @@ class UnsafeDomain:
     """Conjunction of halfspaces alpha . y + beta <= 0 describing unsafe outputs."""
 
     constraints: tuple
+    normals: np.ndarray = field(init=False, repr=False, compare=False)  # (dim, k), one column per constraint
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (k,)
 
     def __init__(self, constraints):
         cons = []
         for a, b in constraints:
             a = np.asarray(a, float)
             b = float(b)
+            if a.ndim != 1:
+                raise ValueError(f"constraint normal must be a vector, got shape {a.shape}")
             if not (np.isfinite(a).all() and np.isfinite(b)):
                 raise ValueError("constraint coefficients must be finite")
             if not np.any(a):
@@ -41,10 +45,13 @@ class UnsafeDomain:
                     f"constraint normals have unequal shapes {cons[0][0].shape} and {a.shape}"
                 )
             cons.append((a, b))
+        if not cons:
+            raise ValueError("unsafe domain must be nonempty")
         object.__setattr__(self, "constraints", tuple(cons))
-        # vzono.is_provably_safe reads the normals and offsets stacked once
-        stacked = vzono.stack_constraints(cons) if cons and cons[0][0].ndim == 1 else None
-        object.__setattr__(self, "stacked", stacked)
+        # stacked once here for vzono.is_provably_safe, which runs per set
+        normals, offsets = vzono.stack_constraints(cons, cons[0][0].size)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
 
     def holds(self, y, tol=0.0):
         """True when y satisfies every constraint (is inside the unsafe set)."""
@@ -75,8 +82,6 @@ class SafetyProperty:
             raise ValueError("input bounds must be finite")
         if not (lb < ub).all():
             raise ValueError("input_lb must be strictly below input_ub componentwise")
-        if not unsafe.constraints:
-            raise ValueError("unsafe domain must be nonempty")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "input_lb", lb)
         object.__setattr__(self, "input_ub", ub)

@@ -125,16 +125,16 @@ def relu_layer(z):
     return VZono(c, np.vstack([v, fresh]))
 
 
-def _normal(z, alpha):
+def _normal(alpha, dim):
     alpha = np.asarray(alpha, float)
-    if alpha.shape != (z.dim,):
-        raise ValueError(f"alpha has shape {alpha.shape}, expected ({z.dim},)")
+    if alpha.shape != (dim,):
+        raise ValueError(f"alpha has shape {alpha.shape}, expected ({dim},)")
     return alpha
 
 
 def constraint_min(z, alpha, beta):
     """Exact minimum of alpha . y + beta over all encoded vertices."""
-    alpha = _normal(z, alpha)
+    alpha = _normal(alpha, z.dim)
     base = z.base_vertices @ alpha + beta
     radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
     return float(base.min()) - radius
@@ -148,12 +148,16 @@ def support(z, alpha):
     return float(base.max()) + radius
 
 
-def stack_constraints(constraints):
-    """(d, k) matrix of the k normals as columns and the (k,) offsets."""
-    normals = np.empty((len(constraints[0][0]), len(constraints)))
+def stack_constraints(constraints, dim):
+    """The k constraints (alpha, beta) as a (dim, k) matrix with the normals
+    as columns and the (k,) offsets. Every normal must have shape (dim,)."""
+    constraints = list(constraints)
+    if not constraints:
+        raise ValueError("empty conjunction would mark the whole space unsafe")
+    normals = np.empty((dim, len(constraints)))
     offsets = np.empty(len(constraints))
     for k, (a, b) in enumerate(constraints):
-        normals[:, k] = a
+        normals[:, k] = _normal(a, dim)
         offsets[k] = b
     return normals, offsets
 
@@ -162,20 +166,15 @@ def is_provably_safe(z, unsafe):
     """True iff the set provably misses the unsafe domain (a conjunction of
     halfspaces alpha . y + beta <= 0): some constraint is violated everywhere,
     that is, some constraint_min is positive. All constraints are minimised
-    at once against the stacked normals, which an UnsafeDomain builds once;
-    a plain list of (alpha, beta) pairs is stacked on each call.
+    at once against the stacked normals, which an UnsafeDomain holds from
+    its construction; a plain list of (alpha, beta) pairs is stacked here.
 
     A False result means "possibly unsafe" and exact exploration must go on.
     """
-    stacked = getattr(unsafe, "stacked", None)
-    if stacked is None:
-        constraints = list(getattr(unsafe, "constraints", unsafe))
-        if not constraints:
-            raise ValueError("empty conjunction would mark the whole space unsafe")
-        stacked = stack_constraints([(_normal(z, a), b) for a, b in constraints])
-    normals, offsets = stacked
-    if normals.shape[0] != z.dim:
-        raise ValueError(f"alpha has shape ({normals.shape[0]},), expected ({z.dim},)")
+    if hasattr(unsafe, "normals") and unsafe.normals.shape[0] == z.dim:
+        normals, offsets = unsafe.normals, unsafe.offsets
+    else:  # stacking a domain of another dimension raises the shape error
+        normals, offsets = stack_constraints(getattr(unsafe, "constraints", unsafe), z.dim)
     # ufunc reductions skip the ndarray-method wrappers, whose overhead
     # outweighs the arithmetic at these sizes. Rounding is monotone, so adding
     # the offsets after the minimum gives the bits of adding them per vertex.

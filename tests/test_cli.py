@@ -2,8 +2,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -318,6 +320,84 @@ class TestEmit:
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: [Errno 2] No such file or directory: '{out}'"
         assert not out.parent.exists()
+
+
+def verify_args(fixture_dir, out):
+    return ["verify", "--net", fixture_dir / "toy_safe.nnet", "--props", fixture_dir / "toy_props.json",
+            "--no-timing", "--out", out]
+
+
+class TestEmitTargets:
+    """--out may name a symlink, a device, a pipe or a shared file: each is
+    written as it is, never renamed over."""
+
+    def test_symlink_target_is_written_and_link_kept(self, fixture_dir, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run(verify_args(fixture_dir, link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["results"][0]["verdict"] == "safe"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_dangling_symlink_creates_its_target(self, fixture_dir, tmp_path):
+        target = tmp_path / "new.json"
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run(verify_args(fixture_dir, link)) == 0
+        assert link.is_symlink() and json.loads(target.read_text())["results"]
+
+    def test_devnull_stays_a_character_device(self, fixture_dir):
+        assert run(verify_args(fixture_dir, os.devnull)) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_fifo_is_written_into(self, fixture_dir, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        try:
+            assert run(verify_args(fixture_dir, fifo)) == 0
+        finally:
+            reader.join(timeout=30)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(got[0])["results"][0]["verdict"] == "safe"
+
+    def test_existing_file_keeps_its_mode(self, fixture_dir, tmp_path):
+        out = tmp_path / "v.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run(verify_args(fixture_dir, out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text())["results"]
+
+    def test_new_file_gets_the_umask_mode(self, fixture_dir, tmp_path):
+        out = tmp_path / "v.json"
+        umask = os.umask(0o027)
+        try:
+            assert run(verify_args(fixture_dir, out)) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_hard_linked_file_is_written_in_place(self, fixture_dir, tmp_path):
+        out = tmp_path / "v.json"
+        out.write_text("old\n")
+        twin = tmp_path / "twin.json"
+        os.link(out, twin)
+        assert run(verify_args(fixture_dir, out)) == 0
+        assert os.path.samefile(out, twin)
+        assert json.loads(twin.read_text())["results"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twin.json", "v.json"]
+
+    def test_temporary_names_do_not_collide(self, fixture_dir, tmp_path):
+        # a leftover from an earlier run under the same pid is no obstacle
+        out = tmp_path / "v.json"
+        (tmp_path / f"v.json.{os.getpid()}.tmp").write_text("leftover\n")
+        assert run(verify_args(fixture_dir, out)) == 0
+        assert json.loads(out.read_text())["results"]
 
 
 class TestRepair:

@@ -150,8 +150,7 @@ class TestLoadNNet:
             load_nnet(p)
 
     def test_blank_mid_row_field_is_skipped(self, tmp_path):
-        # a field the block parse cannot read sends the layer line by line,
-        # which drops blank fields anywhere on a line
+        # blank fields are dropped anywhere on a line, not only at its end
         p = tmp_path / "blank.nnet"
         write_nnet(p, [2, 2], [[[1.0, 2.0], [3.0, 4.0]]], [[5.0, 6.0]])
         text = p.read_text().splitlines()

@@ -563,6 +563,14 @@ class TestNonFiniteInputs:
 
 
 class TestUnsafeNormalLength:
+    def test_unsafe_domain_rejects_non_vector_normals(self):
+        with pytest.raises(ValueError, match=r"must be a vector, got shape \(2, 1\)"):
+            UnsafeDomain([(np.array([[1.0], [-1.0]]), 0.0)])
+
+    def test_unsafe_domain_rejects_empty_conjunction(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            UnsafeDomain([])
+
     def test_unsafe_domain_rejects_unequal_normals(self):
         with pytest.raises(ValueError, match="unequal shapes"):
             UnsafeDomain([(np.array([1.0, -1.0]), 0.0), (np.array([1.0, 0.0, 0.5]), 0.0)])

@@ -383,7 +383,7 @@ class TestIsProvablySafeOnDomain:
     def test_domain_is_not_restacked(self, monkeypatch):
         u = UnsafeDomain([(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), -1.0)])
 
-        def restack(constraints):
+        def restack(constraints, dim):
             raise AssertionError("stacked again")
 
         monkeypatch.setattr(vzono, "stack_constraints", restack)
