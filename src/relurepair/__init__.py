@@ -24,7 +24,7 @@ from .fvim import (
     facet_halfspaces,
     split_by_neuron,
 )
-from .vzono import VZono, constraint_min, from_tracked, is_provably_safe, relu_layer, relu_relax
+from .vzono import VZono, constraint_min, from_tracked, is_provably_safe, relu_layer
 from .reach import (
     MaxSetsExceeded,
     ReachOptions,

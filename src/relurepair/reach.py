@@ -1,10 +1,11 @@
 """Depth-first exact reachability with over-approximation pruning.
 
 The engine explores the tree of linear regions produced by splitting on each
-ReLU neuron. Before expanding a branch it can propagate a cheap relaxed set
-through the remaining layers; a branch whose relaxed output provably misses
-every unsafe domain is dropped, which prunes the whole subtree while leaving
-the union of discovered unsafe regions unchanged.
+ReLU neuron. It can propagate a cheap relaxed set through the remaining
+layers for each branch, for all the sibling branches of one expansion at
+once; a branch whose relaxed output provably misses every unsafe domain is
+dropped, which prunes the whole subtree while leaving the union of
+discovered unsafe regions unchanged.
 """
 
 from __future__ import annotations
@@ -157,15 +158,19 @@ def layer_output(net, s, layer):
     return sets
 
 
-def output_overapprox(net, s, from_layer):
-    """Relaxed output set for the remaining layers of one tracked set. A set
-    with more than VZONO_CAP vertices starts from its interval hull."""
-    if s.layer_cursor != from_layer:
-        raise ValueError(f"set cursor is at layer {s.layer_cursor}, not {from_layer}")
-    z = vzono.from_tracked(s)
-    if z.num_base_vertices > VZONO_CAP:
-        z = vzono.interval_hull(z)
-    for k in range(from_layer, net.num_layers):
+def output_overapprox(net, sets):
+    """Relaxed output sets for the remaining layers of sibling tracked sets,
+    one member per set, in one batch. The sets must share their layer
+    cursor. A set with more than VZONO_CAP vertices starts from its interval
+    hull."""
+    cursors = {s.layer_cursor for s in sets}
+    if len(cursors) != 1:
+        raise ValueError(f"sets must share one layer cursor, got {sorted(cursors)}")
+    z = vzono.from_tracked(sets)
+    big = z.vertex_counts > VZONO_CAP
+    if big.any():
+        z = vzono.interval_hull(z, big)
+    for k in range(cursors.pop(), net.num_layers):
         ly = net.layers[k]
         z = vzono.affine_map(z, ly.weights, ly.bias)
         if ly.activation != IDENTITY:
@@ -200,6 +205,19 @@ def _canonical_key(region):
     return (region.num_vertices, _vertex_key(region.input_vertices))
 
 
+def _provably_safe(net, sets, props):
+    """Per sibling set, whether its relaxed output provably misses the unsafe
+    domain of every property: one output_overapprox for all the siblings,
+    one is_provably_safe per property while some sibling is still safe."""
+    z = output_overapprox(net, sets)
+    safe = vzono.is_provably_safe(z, props[0].unsafe)
+    for p in props[1:]:
+        if not safe.any():
+            break
+        safe &= vzono.is_provably_safe(z, p.unsafe)
+    return safe.tolist()
+
+
 def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     """Explore each (lb, ub, props) group's input box depth-first, one stack
     of tracked sets per box; a branch is pruned only when provably safe for
@@ -216,6 +234,12 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     peak_live_sets is the high-water mark of any group's stack, counting
     its root.
 
+    With the filter on, the relaxed check runs once per expansion, on all
+    the children of one layer_output together, and each child is pushed with
+    its verdict. A set is counted when it is popped: explored, then the
+    max_sets check, then pruned if its verdict says so. Final sets are never
+    checked.
+
     layer_output, output_overapprox and backtrack are called through their
     module-global names, so a tracer that replaces them sees every call.
     """
@@ -223,14 +247,23 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     regions = {}
     safe_sets = [] if collect_safe else None
     final_sets = [] if collect_final else None
+
+    def push(stack, sets, props):
+        """Push sibling sets, each with whether it is provably safe."""
+        if opts.use_filter and props and sets[0].layer_cursor < net.num_layers:
+            stack.extend(zip(sets, _provably_safe(net, sets, props)))
+        else:
+            stack.extend((s, False) for s in sets)
+        total.peak_live_sets = max(total.peak_live_sets, len(stack))
+
     try:
         for lb, ub, props in groups:
             for p in props:
                 regions[p.name] = []
-            total.peak_live_sets = max(total.peak_live_sets, 1)
-            stack = [fvim.box_polytope(lb, ub)]
+            stack = []
+            push(stack, [fvim.box_polytope(lb, ub)], props)
             while stack:
-                s = stack.pop()
+                s, pruned = stack.pop()
                 total.explored_sets += 1
                 if total.explored_sets > opts.max_sets:
                     raise MaxSetsExceeded(opts.max_sets, regions, total)
@@ -247,13 +280,10 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
                     if final_sets is not None:
                         final_sets.append(s)
                     continue
-                if opts.use_filter and props:
-                    z = output_overapprox(net, s, s.layer_cursor)
-                    if all(vzono.is_provably_safe(z, p.unsafe) for p in props):
-                        total.pruned_sets += 1
-                        continue
-                stack.extend(layer_output(net, s, s.layer_cursor))
-                total.peak_live_sets = max(total.peak_live_sets, len(stack))
+                if pruned:
+                    total.pruned_sets += 1
+                    continue
+                push(stack, layer_output(net, s, s.layer_cursor), props)
     finally:
         # in place: an exception's regions are this same dict
         for found in regions.values():

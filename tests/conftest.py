@@ -14,6 +14,7 @@ from relurepair.fvim import TrackedSet
 from relurepair.model import RELU
 from relurepair import fixtures as fx
 from relurepair.reach import SafetyProperty, UnsafeDomain
+from relurepair.vzono import VZono, _relax_coeffs
 
 
 def triangle_tracked(vertices):
@@ -36,6 +37,47 @@ def enum_vzono_vertices(z):
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         out.append(c + np.asarray(signs) @ v)
     return np.vstack(out)
+
+
+# One-neuron forms of the relaxed set, kept as references for vzono's batched
+# functions: bounds and relaxation of one coordinate, and the support
+# function. They read a VZono as one set.
+
+
+def neuron_bounds(z, i):
+    """(lb, ub) of coordinate i over all encoded vertices, without enumeration."""
+    radius = float(np.abs(z.base_vectors[:, i]).sum()) if z.num_base_vectors else 0.0
+    col = z.base_vertices[:, i]
+    return float(col.min()) - radius, float(col.max()) + radius
+
+
+def relu_relax(z, i, lb, ub):
+    """Zonotope relaxation of ReLU on coordinate i for a range spanning zero.
+
+    With slope lam = ub/(ub-lb) and half-gap mu = -ub*lb/(2(ub-lb)) > 0, the
+    relaxed coordinate is lam*x_i + mu with one fresh generator mu*e_i;
+    existing base vectors keep their i-components scaled by lam so the band
+    stays sound after earlier affine mixing.
+    """
+    if not (lb < 0.0 < ub):
+        raise ValueError(f"relaxation needs lb < 0 < ub, got ({lb}, {ub})")
+    lam, mu = _relax_coeffs(lb, ub)
+    c = z.base_vertices.copy()
+    c[:, i] = lam * c[:, i] + mu
+    v = z.base_vectors.copy()
+    if v.shape[0]:
+        v[:, i] = lam * v[:, i]
+    fresh = np.zeros((1, z.dim))
+    fresh[0, i] = mu
+    return VZono(c, np.vstack([v, fresh]) if v.shape[0] else fresh)
+
+
+def support(z, alpha):
+    """Exact maximum of alpha . y over all encoded vertices."""
+    alpha = np.asarray(alpha, float)
+    base = z.base_vertices @ alpha
+    radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
+    return float(base.max()) + radius
 
 
 def straight_forward(net, x):

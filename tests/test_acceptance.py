@@ -17,9 +17,9 @@ from relurepair.fvim import box_polytope, contains, facet_halfspaces
 from relurepair.model import Layer, Network, TrainConfig, accuracy, forward_batch, mse_loss
 from relurepair.reach import ReachOptions, ReachStats, layer_output, output_overapprox
 from relurepair.repair import RepairConfig, repair
-from relurepair.vzono import VZono, constraint_min, relu_relax, support
+from relurepair.vzono import VZono, constraint_min
 
-from conftest import enum_vzono_vertices, region_points
+from conftest import enum_vzono_vertices, region_points, relu_relax
 from test_repair import desk_repair_fixture
 
 
@@ -58,7 +58,7 @@ def test_overapprox_soundness(acceptance_cases):
     worst = np.inf
     for net, prop in acceptance_cases:
         for s in all_intermediate_sets(net, prop.input_lb, prop.input_ub):
-            z = output_overapprox(net, s, s.layer_cursor)
+            z = output_overapprox(net, [s])
             dirs = rng.normal(size=(50, net.output_dim))
             pts = region_points(rng, s.current_vertices, 200)
             for k in range(s.layer_cursor, net.num_layers):
@@ -97,7 +97,7 @@ def test_worked_relaxation_example():
     from conftest import triangle_tracked
     from relurepair.vzono import from_tracked
 
-    z = from_tracked(triangle_tracked([[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]))
+    z = from_tracked([triangle_tracked([[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]])])
     relaxed = relu_relax(z, 0, -1.0, 1.0)
     got = sorted(relaxed.base_vertices[:, 0].tolist())
     assert got == pytest.approx([-0.25, -0.25, 0.75], abs=0.0)

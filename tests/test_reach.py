@@ -10,6 +10,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from relurepair import fixtures as fx
 from relurepair import fvim
+from relurepair import reach as reach_mod
+from relurepair import vzono
 from relurepair.cli import main as cli_main
 from relurepair.fvim import (
     ON_PLANE_TOL,
@@ -37,9 +39,8 @@ from relurepair.reach import (
     reach_unsafe_all,
 )
 from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
-from relurepair.vzono import support
 
-from conftest import fit_affine, region_points
+from conftest import fit_affine, region_points, support
 from test_repair import desk_repair_fixture
 
 
@@ -169,14 +170,14 @@ class TestOutputOverapprox:
     def test_from_last_layer_is_exact_affine_image(self):
         net = Network([Layer(np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0]), IDENTITY)])
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        z = output_overapprox(net, s, 0)
+        z = output_overapprox(net, [s])
         assert z.num_base_vectors == 0
         assert np.allclose(z.base_vertices, s.current_vertices @ net.layers[0].weights.T + net.layers[0].bias)
 
     def test_no_spanning_neurons_keeps_exact_support(self):
         net = Network([Layer(np.eye(2), np.array([3.0, 3.0]), RELU), Layer(np.array([[1.0, -1.0]]), np.zeros(1), IDENTITY)])
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        z = output_overapprox(net, s, 0)
+        z = output_overapprox(net, [s])
         rng = np.random.default_rng(1)
         exact_out = forward_batch(net, s.input_vertices)
         for _ in range(20):
@@ -190,7 +191,7 @@ class TestOutputOverapprox:
         for dim, base_vertices in ((d - 1, 2 ** (d - 1)), (d, 1)):
             net = Network([Layer(w[:dim, :dim], np.ones(dim), IDENTITY)])
             s = box_polytope(-np.ones(dim), np.ones(dim))
-            z = output_overapprox(net, s, 0)
+            z = output_overapprox(net, [s])
             assert z.num_base_vertices == base_vertices
             # the hull of a box is the box: supports stay exact
             exact_out = forward_batch(net, s.input_vertices)
@@ -201,12 +202,107 @@ class TestOutputOverapprox:
         rng = np.random.default_rng(2)
         net = fx.random_network([3, 5, 4, 2], seed=12)
         s = box_polytope([-1.0] * 3, [1.0] * 3)
-        z = output_overapprox(net, s, 0)
+        z = output_overapprox(net, [s])
         pts = rng.uniform(-1, 1, size=(300, 3))
         outs = forward_batch(net, pts)
         for _ in range(40):
             a = rng.normal(size=2)
             assert support(z, a) >= float((outs @ a).max()) - 1e-9
+
+
+def batch_member(z, j):
+    """Rows of member j of a relaxed batch: (base vertices, base vectors)."""
+    vs = np.cumsum(z.vertex_counts) - z.vertex_counts
+    ss = np.cumsum(z.vector_counts) - z.vector_counts
+    return (z.base_vertices[vs[j] : vs[j] + z.vertex_counts[j]],
+            z.base_vectors[ss[j] : ss[j] + z.vector_counts[j]])
+
+
+def assert_member_matches_alone(z, j, alone):
+    """Member j of batch z has the rows of the batch of one `alone`, in order,
+    equal to 1e-12 of the largest entry: a stacked matrix product may round
+    a row apart from the same row multiplied alone."""
+    assert alone.num_members == 1
+    for got, want in zip(batch_member(z, j), (alone.base_vertices, alone.base_vectors)):
+        assert got.shape == want.shape
+        scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestOutputOverapproxBatch:
+    """output_overapprox relaxes sibling sets together, one member each."""
+
+    @pytest.mark.parametrize("sizes, seed", [([3, 7, 6, 2], 55), ([5, 8, 8, 5], 3)])
+    def test_siblings_match_sets_alone(self, sizes, seed):
+        net = fx.random_network(sizes, seed=seed)
+        a = np.zeros(sizes[-1])
+        a[:2] = [1.0, -1.0]
+        unsafe = single_constraint(a, 0.5)
+        sets = [box_polytope(-np.ones(sizes[0]), np.ones(sizes[0]))]
+        for layer in range(net.num_layers - 1):
+            siblings = layer_output(net, sets[0], layer)
+            z = output_overapprox(net, siblings)
+            assert z.num_members == len(siblings)
+            verdicts = vzono.is_provably_safe(z, unsafe)
+            for j, s in enumerate(siblings):
+                alone = output_overapprox(net, [s])
+                assert_member_matches_alone(z, j, alone)
+                assert verdicts[j] == vzono.is_provably_safe(alone, unsafe)[0]
+            sets = siblings
+
+    def test_member_above_vertex_cap_starts_from_its_hull(self):
+        d = int(np.ceil(np.log2(VZONO_CAP + 1)))
+        big = box_polytope(-np.ones(d), np.ones(d))
+        # the corner x . 1 <= 1 - d: the corner vertex and one point per edge
+        small = keep_leq(big, np.ones(d), d - 1.0)
+        assert big.num_vertices > VZONO_CAP >= small.num_vertices == d + 1
+        net = fx.random_network([d, 4, 2], seed=1)
+        z = output_overapprox(net, [big, small])
+        assert z.vertex_counts.tolist() == [1, d + 1]
+        assert_member_matches_alone(z, 0, output_overapprox(net, [big]))
+        assert_member_matches_alone(z, 1, output_overapprox(net, [small]))
+
+    def test_rejects_sets_at_different_layers(self):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        s = box_polytope([-1.0, -1.0], [1.0, 1.0])
+        child = layer_output(net, s, 0)[0]
+        with pytest.raises(ValueError, match="share one layer cursor, got \\[0, 1\\]"):
+            output_overapprox(net, [s, child])
+        with pytest.raises(ValueError):
+            output_overapprox(net, [])
+
+
+class TestOneFilterCallPerExpansion:
+    @pytest.mark.parametrize("sizes, seed", [([3, 7, 6, 2], 55), ([2, 5, 4, 2], 21)])
+    def test_each_expansion_is_relaxed_once(self, monkeypatch, sizes, seed):
+        net = fx.random_network(sizes, seed=seed)
+        a = np.zeros(sizes[-1])
+        a[:2] = [1.0, -1.0]
+        prop = unit_prop(sizes[0], single_constraint(a))
+        batches, expansions = [], []
+        relax, expand = reach_mod.output_overapprox, reach_mod.layer_output
+
+        def spy_relax(net, sets):
+            batches.append(sets)
+            return relax(net, sets)
+
+        def spy_expand(net, s, layer):
+            expansions.append(expand(net, s, layer))
+            return expansions[-1]
+
+        monkeypatch.setattr(reach_mod, "output_overapprox", spy_relax)
+        monkeypatch.setattr(reach_mod, "layer_output", spy_expand)
+        stats = ReachStats()
+        reach_unsafe(net, prop, ReachOptions(), stats)
+        # the root, then every expansion whose children are not final, each
+        # relaxed as the very list layer_output returned
+        inner = [c for c in expansions if c[0].layer_cursor < net.num_layers]
+        assert len(batches) == 1 + len(inner)
+        assert batches[0][0].layer_cursor == 0
+        assert all(b is c for b, c in zip(batches[1:], inner))
+        # every set that is not final is relaxed exactly once
+        assert sum(map(len, batches)) == stats.explored_sets - stats.final_sets
+        assert stats.pruned_sets > 0
 
 
 class TestBacktrack:

@@ -18,13 +18,17 @@ from relurepair.vzono import (
     from_tracked,
     interval_hull,
     is_provably_safe,
-    neuron_bounds,
     relu_layer,
-    relu_relax,
-    support,
 )
 
-from conftest import enum_vzono_vertices, region_points, triangle_tracked
+from conftest import (
+    enum_vzono_vertices,
+    neuron_bounds,
+    region_points,
+    relu_relax,
+    support,
+    triangle_tracked,
+)
 
 FIG5_TRIANGLE = [[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]
 
@@ -38,13 +42,13 @@ def random_vzono(rng, dim=None, n_max=6):
 
 class TestFromTracked:
     def test_unit_square(self):
-        z = from_tracked(box_polytope([0.0, 0.0], [1.0, 1.0]))
+        z = from_tracked([box_polytope([0.0, 0.0], [1.0, 1.0])])
         assert z.num_base_vertices == 4
         assert z.num_base_vectors == 0
 
     def test_single_vertex_set(self):
         point = TrackedSet(np.ones((1, 1), bool), np.array([[0.5]]), np.array([[0.5]]), 0)
-        z = from_tracked(point)
+        z = from_tracked([point])
         assert z.num_base_vertices == 1
 
     def test_support_matches_vertex_max(self):
@@ -53,7 +57,7 @@ class TestFromTracked:
         from relurepair.fvim import affine_map as tracked_affine
 
         s = tracked_affine(s, rng.normal(size=(3, 3)), rng.normal(size=3))
-        z = from_tracked(s)
+        z = from_tracked([s])
         for _ in range(25):
             a = rng.normal(size=3)
             assert support(z, a) == pytest.approx(float((s.current_vertices @ a).max()), abs=1e-12)
@@ -95,7 +99,7 @@ class TestNeuronBounds:
         assert neuron_bounds(z, 0) == (-1.0, 1.0)
 
     def test_worked_triangle(self):
-        z = from_tracked(triangle_tracked(FIG5_TRIANGLE))
+        z = from_tracked([triangle_tracked(FIG5_TRIANGLE)])
         assert neuron_bounds(z, 0) == (-1.0, 1.0)
 
     def test_matches_enumeration(self):
@@ -111,7 +115,7 @@ class TestNeuronBounds:
 
 class TestReluRelax:
     def test_worked_example_values(self):
-        z = from_tracked(triangle_tracked(FIG5_TRIANGLE))
+        z = from_tracked([triangle_tracked(FIG5_TRIANGLE)])
         out = relu_relax(z, 0, -1.0, 1.0)
         assert np.allclose(out.base_vertices, [[-0.25, 2.0], [-0.25, 0.0], [0.75, 0.0]])
         assert np.allclose(out.base_vectors, [[0.25, 0.0]])
@@ -165,7 +169,7 @@ class TestReluLayer:
 
     def test_worked_mixed_case(self):
         # spanning first neuron, nonnegative second neuron
-        z = from_tracked(triangle_tracked(FIG5_TRIANGLE))
+        z = from_tracked([triangle_tracked(FIG5_TRIANGLE)])
         out = relu_layer(z)
         assert np.allclose(out.base_vertices, [[-0.25, 2.0], [-0.25, 0.0], [0.75, 0.0]])
         assert np.allclose(out.base_vectors, [[0.25, 0.0]])
@@ -256,7 +260,7 @@ class TestReluLayerMatchesPerNeuronFold:
         rng = np.random.default_rng(13)
         for _ in range(20):
             z = random_vzono(rng)
-            lo, hi = column_bounds(z)
+            (lo,), (hi,) = column_bounds(z)
             for i in range(z.dim):
                 assert (lo[i], hi[i]) == neuron_bounds(z, i)
             hull = interval_hull(z)
@@ -411,3 +415,172 @@ class TestIntervalHull:
                 assert lo <= verts[:, i].min() + 1e-12
                 assert hi >= verts[:, i].max() - 1e-12
             assert hull.num_base_vertices == 1
+
+
+# ---------------------------------------------------------------- batches
+
+
+def stack_members(members):
+    """One batch VZono holding the given one-member VZonos, in order."""
+    return VZono(
+        np.concatenate([z.base_vertices for z in members]),
+        np.concatenate([z.base_vectors for z in members]),
+        [z.num_base_vertices for z in members],
+        [z.num_base_vectors for z in members],
+    )
+
+
+def member(z, j):
+    """Member j of a batch as a batch of one, its rows copied out."""
+    vs = np.cumsum(z.vertex_counts) - z.vertex_counts
+    ss = np.cumsum(z.vector_counts) - z.vector_counts
+    c = z.base_vertices[vs[j] : vs[j] + z.vertex_counts[j]]
+    v = z.base_vectors[ss[j] : ss[j] + z.vector_counts[j]]
+    return VZono(c.copy(), v.reshape(-1, z.dim).copy())
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_vzono(got, want):
+    assert_same_bits(got.base_vertices, want.base_vertices)
+    assert_same_bits(got.base_vectors, want.base_vectors)
+
+
+# member kinds: "dead" has every upper bound <= 0, "positive" every lower
+# bound >= 0 (no spanning column), "grid" small dyadic values whose sums are
+# exact, so bounds can be exactly 0
+KINDS = ("mixed", "dead", "positive", "grid", "bare", "many")
+
+
+def draw_member(rng, kind, dim):
+    m = int(rng.integers(1, 6))
+    n = {"bare": 0, "many": int(rng.integers(9, 30))}.get(kind, int(rng.integers(0, 4)))
+    if kind == "grid":
+        c = rng.integers(-4, 5, size=(m, dim)) * 0.5
+        v = rng.integers(-2, 3, size=(n, dim)) * 0.25
+    else:
+        c = rng.normal(size=(m, dim))
+        v = rng.normal(size=(n, dim)) * rng.uniform(0.05, 1.0)
+    radius = np.abs(v).sum(axis=0)
+    if kind == "dead":
+        c = -np.abs(c) - radius
+    elif kind == "positive":
+        c = np.abs(c) + radius
+    # + 0.0 folds -0.0 into 0.0: relu_layer scales a column it keeps by 1
+    # and adds 0 in a batch, which drops the sign of a zero
+    return VZono(c + 0.0, v + 0.0)
+
+
+@st.composite
+def sibling_batches(draw):
+    """1-6 members of one dimension, of the KINDS in any order, then 0-2
+    trailing members without base vectors; values from a drawn seed."""
+    dim = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    kinds += ["bare"] * draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [draw_member(rng, kind, dim) for kind in kinds], rng
+
+
+class TestBatchMatchesBatchOfOne:
+    """Every batched function treats each member exactly as a batch of one."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=sibling_batches())
+    def test_column_bounds(self, case):
+        members, _ = case
+        lo, hi = column_bounds(stack_members(members))
+        assert lo.shape == hi.shape == (len(members), members[0].dim)
+        for j, z in enumerate(members):
+            want_lo, want_hi = column_bounds(z)
+            assert_same_bits(lo[j], want_lo[0])
+            assert_same_bits(hi[j], want_hi[0])
+            # the bounds of the per-neuron reference, in its summation order
+            for i in range(z.dim):
+                assert (lo[j, i], hi[j, i]) == neuron_bounds(z, i)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=sibling_batches())
+    def test_relu_layer(self, case):
+        members, _ = case
+        batch = stack_members(members)
+        before = (batch.base_vertices.copy(), batch.base_vectors.copy())
+        out = relu_layer(batch)
+        assert_same_bits(batch.base_vertices, before[0])
+        assert_same_bits(batch.base_vectors, before[1])
+        assert out.num_members == len(members)
+        for j, z in enumerate(members):
+            assert_same_vzono(member(out, j), relu_layer(z))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=sibling_batches(), k=st.integers(1, 3))
+    def test_is_provably_safe(self, case, k):
+        members, rng = case
+        dim = members[0].dim
+        cons = [(rng.integers(-2, 3, size=dim) * 0.5, float(rng.integers(-4, 5)) * 0.5)
+                for _ in range(k)]
+        got = is_provably_safe(stack_members(members), cons)
+        assert got.shape == (len(members),)
+        assert got.tolist() == [bool(is_provably_safe(z, cons)[0]) for z in members]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=sibling_batches(), data=st.data())
+    def test_interval_hull_of_some_members(self, case, data):
+        # output_overapprox coarsens only the members above VZONO_CAP
+        members, _ = case
+        which = np.array(data.draw(st.lists(st.booleans(), min_size=len(members),
+                                            max_size=len(members))))
+        out = interval_hull(stack_members(members), which)
+        assert out.num_members == len(members)
+        for j, z in enumerate(members):
+            assert_same_vzono(member(out, j), interval_hull(z) if which[j] else z)
+
+    def test_trailing_members_without_base_vectors(self):
+        # reduceat over the raw rows would read the last member's rows for
+        # the empty ones after it, or fail on a start past the last row
+        members = [VZono(np.array([[1.0, -2.0]]), np.array([[0.5, 3.0], [1.0, 1.0]])),
+                   VZono(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros((0, 2))),
+                   VZono(np.array([[-1.0, 2.0]]), np.zeros((0, 2)))]
+        lo, hi = column_bounds(stack_members(members))
+        assert lo.tolist() == [[-0.5, -6.0], [0.0, 0.0], [-1.0, 2.0]]
+        assert hi.tolist() == [[2.5, 2.0], [1.0, 1.0], [-1.0, 2.0]]
+
+
+class TestBatchConstruction:
+    def test_single_set_is_a_batch_of_one(self):
+        z = VZono(np.ones((3, 2)), np.ones((4, 2)))
+        assert z.num_members == 1
+        assert z.vertex_counts.tolist() == [3]
+        assert z.vector_counts.tolist() == [4]
+
+    @pytest.mark.parametrize(
+        "vc, sc",
+        [
+            ([1, 2], [1]),  # one vector count for two members
+            ([3, 0], [1, 0]),  # a member without base vertices
+            ([1, 3], [1, 0]),  # vertex rows do not add up
+            ([2, 1], [2, -1]),  # a negative count
+            ([], []),  # no member
+        ],
+    )
+    def test_rejects_row_counts_that_do_not_fit(self, vc, sc):
+        with pytest.raises(ValueError):
+            VZono(np.ones((3, 2)), np.ones((1, 2)), vc, sc)
+
+    def test_from_tracked_stacks_siblings(self):
+        a = box_polytope([0.0, 0.0], [1.0, 1.0])
+        b = triangle_tracked(FIG5_TRIANGLE)
+        z = from_tracked([a, b])
+        assert z.vertex_counts.tolist() == [4, 3]
+        assert z.vector_counts.tolist() == [0, 0]
+        assert np.array_equal(z.base_vertices, np.vstack([a.current_vertices, b.current_vertices]))
+        with pytest.raises(ValueError):
+            from_tracked([])
+
+    def test_constraint_min_takes_one_set(self):
+        z = stack_members([VZono(np.zeros((1, 2)), np.zeros((0, 2)))] * 2)
+        with pytest.raises(ValueError, match="batch of 2"):
+            constraint_min(z, np.ones(2), 0.0)
