@@ -10,7 +10,6 @@ from .model import (
     TrainConfig,
     TrainingDivergedError,
     accuracy,
-    forward,
     forward_batch,
     load_nnet,
     save_nnet,
@@ -20,11 +19,10 @@ from .fvim import (
     TrackedSet,
     affine_map,
     box_polytope,
-    dim_bounds,
     facet_halfspaces,
     split_by_neuron,
 )
-from .vzono import VZono, constraint_min, from_tracked, is_provably_safe, relu_layer
+from .vzono import VZono, from_tracked, is_provably_safe, relu_layer
 from .reach import (
     MaxSetsExceeded,
     ReachOptions,

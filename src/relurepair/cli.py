@@ -23,6 +23,7 @@ from .model import LabeledDataset, TrainConfig, load_nnet, save_nnet
 from .reach import (
     ReachOptions,
     ReachStats,
+    check_unique_names,
     exact_final_sets,
     projection_polygon,
     property_from_dict,
@@ -35,9 +36,11 @@ from .repair import REPAIRED, RepairConfig, repair
 def _load_properties(path):
     with open(path) as f:
         data = json.load(f)
-    if isinstance(data, dict):
-        data = data.get("properties", [data])
-    return [property_from_dict(d) for d in data]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: a property file holds a JSON list of properties")
+    props = [property_from_dict(d) for d in data]
+    check_unique_names(props)
+    return props
 
 
 def _save_properties(props, path):

@@ -15,16 +15,17 @@ from .model import IDENTITY, RELU, LabeledDataset, Layer, Network, forward_batch
 from .reach import SafetyProperty, UnsafeDomain
 
 
-def random_network(layer_sizes, seed=0, weight_scale=1.0, bias_scale=0.2):
-    """Gaussian-initialized network; hidden ReLU, identity output."""
+def random_network(layer_sizes, seed=0):
+    """Gaussian-initialized network: weights with standard deviation
+    1/sqrt(fan-in), biases with 0.2; hidden ReLU, identity output."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
     rng = np.random.default_rng(seed)
     layers = []
     for k in range(len(layer_sizes) - 1):
         fan_in, fan_out = layer_sizes[k], layer_sizes[k + 1]
-        w = rng.normal(0.0, weight_scale / math.sqrt(fan_in), size=(fan_out, fan_in))
-        b = rng.normal(0.0, bias_scale, size=fan_out)
+        w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in))
+        b = rng.normal(0.0, 0.2, size=fan_out)
         act = IDENTITY if k == len(layer_sizes) - 2 else RELU
         layers.append(Layer(w, b, act))
     return Network(layers)
@@ -44,10 +45,10 @@ def not_minimum_domain(dim, advisory=0):
     return UnsafeDomain(cons)
 
 
-def toy_property(name="toy-y1-not-below-y2"):
+def toy_property():
     """2-d box with 'first output must exceed the second' semantics."""
     return SafetyProperty(
-        name,
+        "toy-y1-not-below-y2",
         input_lb=[-1.0, -1.0],
         input_ub=[1.0, 1.0],
         unsafe=UnsafeDomain([(np.array([1.0, -1.0]), 0.0)]),
@@ -96,9 +97,9 @@ def collision_avoidance_properties():
     return [p1, p2, p3]
 
 
-def collision_avoidance_network(seed=0, hidden=(8, 8)):
-    """Small random 5-in 5-out stand-in for a collision-avoidance controller."""
-    net = random_network([5, *hidden, 5], seed=seed)
+def collision_avoidance_network(seed=0):
+    """Small random [5, 8, 8, 5] stand-in for a collision-avoidance controller."""
+    net = random_network([5, 8, 8, 5], seed=seed)
     pi = math.pi
     mins = [0.0, -pi, -pi, 100.0, 0.0]
     maxes = [56000.0, pi, pi, 1000.0, 1000.0]
@@ -107,7 +108,7 @@ def collision_avoidance_network(seed=0, hidden=(8, 8)):
     return Network(net.layers, mins, maxes, means, ranges)
 
 
-def bench_network(depth=6, gain=40.0):
+def bench_network(depth=6):
     """Pruning benchmark: layer k splits the first input coordinate at the
     odd multiples of 2^(1-k), so exact search builds a full binary tree of
     2^depth intervals, while only the topmost sliver of the box can reach the
@@ -131,7 +132,7 @@ def bench_network(depth=6, gain=40.0):
     # y1 crosses zero only where the 0.9 gate neuron is active enough
     last_width = 1 + 2 ** (depth - 1) + 1
     out_w = np.zeros((2, last_width))
-    out_w[0, -1] = gain
+    out_w[0, -1] = 40.0
     out_w[1, 0] = 1.0
     layers.append(Layer(out_w, np.array([-1.0, 0.0]), IDENTITY))
     return Network(layers)

@@ -60,21 +60,6 @@ class TrackedSet:
     def current_dim(self):
         return self.current_vertices.shape[1]
 
-    def validate(self):
-        """Check incidence-structure invariants; raises AssertionError on failure."""
-        d = self.input_dim
-        nf, nv = self.fvim.shape
-        assert self.fvim.dtype == bool
-        assert nv == self.num_vertices == self.current_vertices.shape[0]
-        col_counts = self.fvim.sum(axis=0)
-        assert (col_counts >= d).all(), "every vertex must lie on at least d facets"
-        if d >= 2:
-            row_counts = self.fvim.sum(axis=1)
-            assert (row_counts >= d).all(), "every facet must contain at least d vertices"
-        rows = {self.fvim[r].tobytes() for r in range(nf)}
-        assert len(rows) == nf, "duplicate facet rows"
-        return True
-
 
 def box_polytope(lb, ub):
     """Build the tracked set of an axis-aligned box: 2^d vertices, 2d facets."""
@@ -110,12 +95,6 @@ def affine_map(s, w, b):
     if w.shape[1] != s.current_dim:
         raise ValueError(f"W has {w.shape[1]} columns, set is {s.current_dim}-dimensional")
     return TrackedSet(s.fvim, s.input_vertices, s.current_vertices @ w.T + b, s.layer_cursor)
-
-
-def dim_bounds(s, i):
-    """Exact (min, max) of current coordinate i, read off the vertices."""
-    col = s.current_vertices[:, i]
-    return float(col.min()), float(col.max())
 
 
 def _dedupe_rows(mat):
@@ -282,10 +261,3 @@ def facet_halfspaces(s):
         rows_a.append(normal)
         rows_b.append(offset)
     return np.array(rows_a), np.array(rows_b)
-
-
-def contains(halfspaces, points, tol=ON_PLANE_TOL):
-    """Membership mask of points against (A, b) halfspaces A x + b <= tol."""
-    a, b = halfspaces
-    points = np.atleast_2d(np.asarray(points, float))
-    return (points @ a.T + b <= tol).all(axis=1)

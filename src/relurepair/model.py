@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,14 +44,10 @@ class Network:
     Hidden layers use ReLU; only the last layer may use the identity
     activation. Normalization constants (means/ranges per input, plus one
     trailing entry for the output) are carried along when loaded from an
-    NNet file but applied only by `normalize`.
+    NNet file and written back by `save_nnet`; nothing applies them.
     """
 
     def __init__(self, layers, mins=None, maxes=None, means=None, ranges=None):
-        layers = [
-            ly if isinstance(ly, Layer) else Layer(np.asarray(ly[0], float), np.asarray(ly[1], float), ly[2])
-            for ly in layers
-        ]
         if not layers:
             raise ValueError("network needs at least one layer")
         for k, ly in enumerate(layers[:-1]):
@@ -79,16 +75,6 @@ class Network:
     def layer_sizes(self):
         return [self.input_dim] + [ly.weights.shape[0] for ly in self.layers]
 
-    def parameter_count(self):
-        return sum(ly.weights.size + ly.bias.size for ly in self.layers)
-
-    def normalize(self, x):
-        """Map raw inputs into the network's native (normalized) input space."""
-        if self.means is None or self.ranges is None:
-            raise ValueError("network carries no normalization constants")
-        x = np.asarray(x, float)
-        return (x - self.means[: self.input_dim]) / self.ranges[: self.input_dim]
-
     def with_layers(self, layers):
         """Same normalization constants, new weights (used by training)."""
         return Network(layers, self.mins, self.maxes, self.means, self.ranges)
@@ -100,7 +86,7 @@ class LabeledDataset:
 
     inputs: np.ndarray  # (n, input_dim)
     targets: np.ndarray  # (n, output_dim)
-    labels: np.ndarray | None = None  # (n,) ints
+    labels: np.ndarray = field(init=False)  # (n,) ints
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, float)
@@ -109,12 +95,7 @@ class LabeledDataset:
             raise ValueError("inputs and targets must be 2-d arrays")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must pair up row by row")
-        if self.labels is None:
-            self.labels = np.argmax(self.targets, axis=1)
-        else:
-            self.labels = np.asarray(self.labels, int)
-            if self.labels.shape != (self.inputs.shape[0],):
-                raise ValueError("labels must be one int per pair")
+        self.labels = np.argmax(self.targets, axis=1)
 
     def __len__(self):
         return self.inputs.shape[0]
@@ -261,18 +242,6 @@ def save_nnet(net, path):
         f.write("\n".join(lines) + "\n")
 
 
-def forward(net, x):
-    """Evaluate the network on one input vector."""
-    x = np.asarray(x, float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    for ly in net.layers:
-        x = ly.weights @ x + ly.bias
-        if ly.activation == RELU:
-            x = np.maximum(x, 0.0)
-    return x
-
-
 def forward_batch(net, xs):
     """Evaluate the network on rows of a (n, input_dim) array."""
     xs = np.asarray(xs, float)
@@ -283,12 +252,6 @@ def forward_batch(net, xs):
         if ly.activation == RELU:
             xs = np.maximum(xs, 0.0)
     return xs
-
-
-def mse_loss(net, xs, ys):
-    """Mean squared error over all output entries of a batch."""
-    pred = forward_batch(net, xs)
-    return float(np.mean((pred - ys) ** 2))
 
 
 def _loss_gradients(layers, xs, ys):

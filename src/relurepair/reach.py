@@ -54,11 +54,6 @@ class UnsafeDomain:
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
 
-    def holds(self, y, tol=0.0):
-        """True when y satisfies every constraint (is inside the unsafe set)."""
-        y = np.asarray(y, float)
-        return all(float(a @ y) + b <= tol for a, b in self.constraints)
-
     def margins(self, ys):
         """(n_points, n_constraints) matrix of alpha . y + beta values."""
         ys = np.atleast_2d(np.asarray(ys, float))
@@ -128,9 +123,10 @@ class MaxSetsExceeded(RuntimeError):
         self.stats = stats
 
 
-def layer_output(net, s, layer):
-    """Exact reachable sets of one layer: affine map, then a fold of neuron
-    splits in ascending index order (none for an identity output layer).
+def layer_output(net, s):
+    """Exact reachable sets of the layer at the set's cursor: affine map, then
+    a fold of neuron splits in ascending index order (none for an identity
+    output layer).
 
     Neurons whose sign the mapped set already settles skip the fold: dead
     ones (max <= ON_PLANE_TOL) are zeroed in one write and those with
@@ -142,8 +138,7 @@ def layer_output(net, s, layer):
     neuron values about 2^52 apart. A min in [0, ON_PLANE_TOL] stays in the
     fold: a split child can lose the part above ON_PLANE_TOL and turn dead.
     """
-    if s.layer_cursor != layer:
-        raise ValueError(f"set cursor is at layer {s.layer_cursor}, not {layer}")
+    layer = s.layer_cursor
     ly = net.layers[layer]
     mapped = fvim.affine_map(s, ly.weights, ly.bias)
     vals = mapped.current_vertices
@@ -283,7 +278,7 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
                 if pruned:
                     total.pruned_sets += 1
                     continue
-                push(stack, layer_output(net, s, s.layer_cursor), props)
+                push(stack, layer_output(net, s), props)
     finally:
         # in place: an exception's regions are this same dict
         for found in regions.values():
@@ -308,6 +303,24 @@ def _check_dims(net, prop):
             )
 
 
+def check_unique_names(properties):
+    """Reject properties that share a name: results are keyed by name."""
+    seen = set()
+    for p in properties:
+        if p.name in seen:
+            raise ValueError(f"duplicate property name {p.name!r}")
+        seen.add(p.name)
+
+
+def group_by_box(properties):
+    """Lists of the properties that share an input box, bit for bit, in
+    order of first appearance."""
+    groups = {}
+    for p in properties:
+        groups.setdefault((p.input_lb.tobytes(), p.input_ub.tobytes()), []).append(p)
+    return list(groups.values())
+
+
 def reach_unsafe(net, prop, opts=None, stats=None):
     """All unsafe input regions of one property, in canonical order.
 
@@ -323,25 +336,23 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     safe for every property of its group.
 
     Returns {property name: canonically sorted regions}, each a
-    fvim.TrackedSet restricted to the unsafe domain. Exploration fits no
-    halfspaces; a caller that tests membership fits them once per region,
-    with fvim.contains(fvim.facet_halfspaces(region), points, tol). When a
-    list is passed as safe_collector it receives, once the call finishes,
-    the fully-propagated sets that are safe for all properties of their
-    group; their arrays are never written again, so copy before writing.
+    fvim.TrackedSet restricted to the unsafe domain; property names must be
+    unique. Exploration fits no halfspaces; a caller that tests membership
+    fits them once per region with fvim.facet_halfspaces. When a list is
+    passed as safe_collector it receives, once the call finishes, the
+    fully-propagated sets that are safe for all properties of their group;
+    their arrays are never written again, so copy before writing.
 
     opts.max_sets caps the sets explored by the whole call, across groups.
     On MaxSetsExceeded, exc.stats holds the call's totals, and so does
     `stats` once they are added to it.
     """
-    groups = {}
+    check_unique_names(properties)
     for p in properties:
         _check_dims(net, p)
-        key = (p.input_lb.tobytes(), p.input_ub.tobytes())
-        groups.setdefault(key, []).append(p)
     regions, safe_sets, _ = _explore(
         net,
-        [(g[0].input_lb, g[0].input_ub, g) for g in groups.values()],
+        [(g[0].input_lb, g[0].input_ub, g) for g in group_by_box(properties)],
         opts or ReachOptions(),
         stats,
         collect_safe=safe_collector is not None,

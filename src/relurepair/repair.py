@@ -24,8 +24,8 @@ from .model import (
 from .reach import (
     MaxSetsExceeded,
     ReachOptions,
-    ReachStats,
     exact_final_sets,
+    group_by_box,
     projection_polygon,
     reach_unsafe_all,
 )
@@ -216,6 +216,17 @@ def repair(net, properties, train_data, test_data, cfg=None):
         raise ValueError("need at least one safety property")
     if len(train_data) == 0 or len(test_data) == 0:
         raise ValueError("training and test data must be nonempty")
+    for label, data in (("training", train_data), ("test", test_data)):
+        if data.inputs.shape[1] != net.input_dim:
+            raise ValueError(
+                f"{label} inputs are {data.inputs.shape[1]} wide, "
+                f"network expects {net.input_dim}"
+            )
+        if data.targets.shape[1] != net.output_dim:
+            raise ValueError(
+                f"{label} targets are {data.targets.shape[1]} wide, "
+                f"network has {net.output_dim} outputs"
+            )
 
     base_acc = accuracy(net, test_data)
     candidate = net
@@ -224,11 +235,10 @@ def repair(net, properties, train_data, test_data, cfg=None):
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.monotonic()
-        stats = ReachStats()
         safe_sets = []
         try:
             regions = reach_unsafe_all(
-                candidate, properties, cfg.reach, stats, safe_collector=safe_sets
+                candidate, properties, cfg.reach, safe_collector=safe_sets
             )
         except MaxSetsExceeded as exc:
             raise RepairAborted(f"reachability blew past max_sets: {exc}", report) from exc
@@ -243,12 +253,13 @@ def repair(net, properties, train_data, test_data, cfg=None):
         if cfg.projection_axes is not None:
             i, j = cfg.projection_axes
             projections = {}
-            for p in properties:
-                finals = exact_final_sets(candidate, p, cfg.reach)
-                projections[p.name] = {
-                    "reachable": [projection_polygon(s.current_vertices, i, j) for s in finals],
-                    "unsafe": [projection_polygon(r.current_vertices, i, j) for r in regions[p.name]],
-                }
+            for group in group_by_box(properties):
+                # the unfiltered final sets depend only on the input box
+                finals = exact_final_sets(candidate, group[0], cfg.reach)
+                reachable = [projection_polygon(s.current_vertices, i, j) for s in finals]
+                for p in group:
+                    unsafe = [projection_polygon(r.current_vertices, i, j) for r in regions[p.name]]
+                    projections[p.name] = {"reachable": reachable, "unsafe": unsafe}
         record = IterationRecord(it, counts, ratios, acc, 0.0, projections, pool_size=len(pool))
         report.iterations.append(record)
 

@@ -189,17 +189,6 @@ def _normal(alpha, dim):
     return alpha
 
 
-def constraint_min(z, alpha, beta):
-    """Exact minimum of alpha . y + beta over all encoded vertices of a
-    one-member set."""
-    if z.num_members != 1:
-        raise ValueError(f"constraint_min takes one set, got a batch of {z.num_members}")
-    alpha = _normal(alpha, z.dim)
-    base = z.base_vertices @ alpha + beta
-    radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
-    return float(base.min()) - radius
-
-
 def stack_constraints(constraints, dim):
     """The k constraints (alpha, beta) as a (dim, k) matrix with the normals
     as columns and the (k,) offsets. Every normal must have shape (dim,)."""
@@ -217,10 +206,11 @@ def stack_constraints(constraints, dim):
 def is_provably_safe(z, unsafe):
     """Per member, True iff it provably misses the unsafe domain (a
     conjunction of halfspaces alpha . y + beta <= 0): some constraint is
-    violated everywhere on it, that is, its constraint_min is positive.
-    Returns a (k,) bool array. All constraints are minimised at once against
-    the stacked normals, which an UnsafeDomain holds from its construction;
-    a plain list of (alpha, beta) pairs is stacked here.
+    violated everywhere on it, that is, alpha . y + beta has a positive
+    minimum over the member. Returns a (k,) bool array. All constraints are
+    minimised at once against the stacked normals, which an UnsafeDomain
+    holds from its construction; a plain list of (alpha, beta) pairs is
+    stacked here.
 
     False means "possibly unsafe" and exact exploration must go on.
     """

@@ -10,11 +10,11 @@ import itertools
 import numpy as np
 import pytest
 
-from relurepair.fvim import TrackedSet
-from relurepair.model import RELU
+from relurepair.fvim import ON_PLANE_TOL, TrackedSet
+from relurepair.model import RELU, forward_batch
 from relurepair import fixtures as fx
 from relurepair.reach import SafetyProperty, UnsafeDomain
-from relurepair.vzono import VZono, _relax_coeffs
+from relurepair.vzono import VZono, _normal, _relax_coeffs
 
 
 def triangle_tracked(vertices):
@@ -78,6 +78,76 @@ def support(z, alpha):
     base = z.base_vertices @ alpha
     radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
     return float(base.max()) + radius
+
+
+# Forms no command calls, kept as references and oracles: bounds, invariants
+# and membership of a tracked set, the one-set constraint minimum, one-vector
+# evaluation, the MSE loss, and membership of an unsafe domain.
+
+
+def validate(s):
+    """Check incidence-structure invariants; raises AssertionError on failure."""
+    d = s.input_dim
+    nf, nv = s.fvim.shape
+    assert s.fvim.dtype == bool
+    assert nv == s.num_vertices == s.current_vertices.shape[0]
+    col_counts = s.fvim.sum(axis=0)
+    assert (col_counts >= d).all(), "every vertex must lie on at least d facets"
+    if d >= 2:
+        row_counts = s.fvim.sum(axis=1)
+        assert (row_counts >= d).all(), "every facet must contain at least d vertices"
+    rows = {s.fvim[r].tobytes() for r in range(nf)}
+    assert len(rows) == nf, "duplicate facet rows"
+    return True
+
+
+def dim_bounds(s, i):
+    """Exact (min, max) of current coordinate i, read off the vertices."""
+    col = s.current_vertices[:, i]
+    return float(col.min()), float(col.max())
+
+
+def contains(halfspaces, points, tol=ON_PLANE_TOL):
+    """Membership mask of points against (A, b) halfspaces A x + b <= tol."""
+    a, b = halfspaces
+    points = np.atleast_2d(np.asarray(points, float))
+    return (points @ a.T + b <= tol).all(axis=1)
+
+
+def constraint_min(z, alpha, beta):
+    """Exact minimum of alpha . y + beta over all encoded vertices of a
+    one-member set."""
+    if z.num_members != 1:
+        raise ValueError(f"constraint_min takes one set, got a batch of {z.num_members}")
+    alpha = _normal(alpha, z.dim)
+    base = z.base_vertices @ alpha + beta
+    radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
+    return float(base.min()) - radius
+
+
+def forward(net, x):
+    """Evaluate the network on one input vector."""
+    x = np.asarray(x, float)
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
+    for ly in net.layers:
+        x = ly.weights @ x + ly.bias
+        if ly.activation == RELU:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def mse_loss(net, xs, ys):
+    """Mean squared error over all output entries of a batch."""
+    pred = forward_batch(net, xs)
+    return float(np.mean((pred - ys) ** 2))
+
+
+def holds(u, y, tol=0.0):
+    """True when y satisfies every constraint of the unsafe domain u (is
+    inside the unsafe set)."""
+    y = np.asarray(y, float)
+    return all(float(a @ y) + b <= tol for a, b in u.constraints)
 
 
 def straight_forward(net, x):

@@ -14,8 +14,10 @@ import pytest
 import relurepair
 from relurepair import fixtures as fx
 from relurepair.cli import _load_properties, build_parser, main
-from relurepair.model import forward, load_nnet, save_nnet
+from relurepair.model import load_nnet, save_nnet
 from relurepair.reach import ReachStats, exact_final_sets, projection_polygon, reach_unsafe
+
+from conftest import forward
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,34 @@ class TestReach:
         assert run([*command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]) == 2
         want = ("error: property 'toy-y1-not-below-y2' has an unsafe normal of length 3, "
                 "network has 2 outputs")
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "reach", "repair"])
+    def test_duplicate_property_names_exit_two(self, fixture_dir, tmp_path, capsys, command):
+        props = json.loads((fixture_dir / "toy_props.json").read_text())
+        path = tmp_path / "dup.json"
+        far = dict(props[0], name="dup", lb=[5.0, 0.0], ub=[6.0, 1.0])
+        path.write_text(json.dumps([dict(props[0], name="dup"), far]))
+        out, out_net = tmp_path / "r.json", tmp_path / "fixed.nnet"
+        args = [command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]
+        if command == "repair":
+            args += ["--train-data", fixture_dir / "toy_train.json",
+                     "--test-data", fixture_dir / "toy_test.json", "--out-net", out_net]
+        assert run(args) == 2
+        assert capsys.readouterr().err.strip() == "error: duplicate property name 'dup'"
+        assert not out.exists() and not out_net.exists()
+
+    @pytest.mark.parametrize("shape", ["object", "wrapped"])
+    @pytest.mark.parametrize("command", ["verify", "reach"])
+    def test_property_file_that_is_not_a_list_exits_two(self, fixture_dir, tmp_path, capsys,
+                                                        command, shape):
+        props = json.loads((fixture_dir / "toy_props.json").read_text())
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps(props[0] if shape == "object" else {"properties": props}))
+        out = tmp_path / "r.json"
+        assert run([command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]) == 2
+        want = f"error: {path}: a property file holds a JSON list of properties"
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
@@ -455,6 +485,32 @@ class TestRepair:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("net_name, cut", [("toy_unsafe.nnet", ["train"]),
+                                               ("toy_safe.nnet", ["train", "test"])])
+    def test_one_column_targets_exit_two(self, fixture_dir, tmp_path, capsys, net_name, cut):
+        data = {}
+        for which in ("train", "test"):
+            doc = json.loads((fixture_dir / f"toy_{which}.json").read_text())
+            if which in cut:
+                doc["targets"] = [row[:1] for row in doc["targets"]]
+            data[which] = tmp_path / f"{which}.json"
+            data[which].write_text(json.dumps(doc))
+        out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
+        code = run(
+            [
+                "repair",
+                "--net", fixture_dir / net_name,
+                "--props", fixture_dir / "toy_props.json",
+                "--train-data", data["train"],
+                "--test-data", data["test"],
+                "--out", out, "--out-net", out_net,
+            ]
+        )
+        assert code == 2
+        want = "error: training targets are 1 wide, network has 2 outputs"
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists() and not out_net.exists()
 
     def test_negative_projection_axis_exits_two(self, fixture_dir, tmp_path, capsys):
         out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"

@@ -14,14 +14,12 @@ from relurepair.fvim import (
     _dedupe_rows,
     affine_map,
     box_polytope,
-    contains,
-    dim_bounds,
     facet_halfspaces,
     keep_leq,
     split_by_neuron,
 )
 
-from conftest import fit_affine, region_points, triangle_tracked
+from conftest import contains, dim_bounds, fit_affine, region_points, triangle_tracked, validate
 
 FIG5_TRIANGLE = [[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]
 
@@ -41,14 +39,14 @@ class TestBoxPolytope:
         for i in range(2):
             low_row = s.fvim[2 * i]
             assert np.array_equal(low_row, s.input_vertices[:, i] == 0.0)
-        s.validate()
+        validate(s)
 
     def test_five_dimensional_sensor_box(self):
         pi = math.pi
         s = box_polytope([0.0, -pi, -pi, 100.0, 0.0], [56000.0, pi, pi, 1000.0, 1000.0])
         assert s.num_vertices == 32
         assert s.fvim.shape[0] == 10
-        s.validate()
+        validate(s)
 
     def test_unit_cube_incidence_counts(self):
         s = box_polytope([0.0] * 3, [1.0] * 3)
@@ -126,7 +124,7 @@ class TestSplitByNeuron:
         assert as_row_set(pos.input_vertices) == {(0, -1), (0, 1), (1, -1), (1, 1)}
         assert as_row_set(neg.input_vertices) == {(-1, -1), (-1, 1), (0, -1), (0, 1)}
         for p in parts:
-            p.validate()
+            validate(p)
 
     def test_worked_triangle_split(self):
         s = triangle_tracked(FIG5_TRIANGLE)
@@ -196,7 +194,7 @@ class TestSplitByNeuron:
             frontier = nxt
         assert len(frontier) > 3
         for cur in frontier:
-            cur.validate()
+            validate(cur)
             _, _, resid = fit_affine(cur.input_vertices, cur.current_vertices)
             assert resid <= 1e-9
 

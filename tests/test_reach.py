@@ -17,12 +17,11 @@ from relurepair.fvim import (
     ON_PLANE_TOL,
     affine_map,
     box_polytope,
-    contains,
     facet_halfspaces,
     keep_leq,
     split_by_neuron,
 )
-from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, forward, forward_batch
+from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, forward_batch
 from relurepair.reach import (
     MaxSetsExceeded,
     ReachOptions,
@@ -40,7 +39,7 @@ from relurepair.reach import (
 )
 from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
 
-from conftest import fit_affine, region_points, support
+from conftest import contains, fit_affine, forward, region_points, support
 from test_repair import desk_repair_fixture
 
 
@@ -56,7 +55,7 @@ class TestLayerOutput:
     def test_identity_output_layer_maps_once(self):
         net = Network([Layer(np.eye(2), np.zeros(2), IDENTITY)])
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        outs = layer_output(net, s, 0)
+        outs = layer_output(net, s)
         assert len(outs) == 1
         assert outs[0].layer_cursor == 1
         assert np.array_equal(outs[0].current_vertices, s.current_vertices)
@@ -64,13 +63,13 @@ class TestLayerOutput:
     def test_relu_layer_with_no_spanning_neuron(self):
         net = Network([Layer(np.eye(2), np.array([5.0, 5.0]), RELU), Layer(np.eye(2), np.zeros(2), IDENTITY)])
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        outs = layer_output(net, s, 0)
+        outs = layer_output(net, s)
         assert len(outs) == 1
 
     def test_single_spanning_neuron_splits_in_two(self):
         net = Network([Layer(np.array([[1.0, 0.0]]), np.zeros(1), RELU), Layer(np.eye(1), np.zeros(1), IDENTITY)])
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        outs = layer_output(net, s, 0)
+        outs = layer_output(net, s)
         assert len(outs) == 2
 
     def test_two_neuron_layer_partitions_inputs(self):
@@ -79,7 +78,7 @@ class TestLayerOutput:
             [Layer(rng.normal(size=(2, 2)), rng.normal(size=2) * 0.1, RELU), Layer(np.eye(2), np.zeros(2), IDENTITY)]
         )
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        outs = layer_output(net, s, 0)
+        outs = layer_output(net, s)
         assert 1 <= len(outs) <= 4
         pts = rng.uniform(-1, 1, size=(500, 2))
         hs = [facet_halfspaces(o) for o in outs]
@@ -149,7 +148,7 @@ class TestLayerOutputMatchesFold:
             nxt = []
             for s in sets:
                 want = fold_layer_output(net, s, layer)
-                assert_bit_identical(layer_output(net, s, layer), want)
+                assert_bit_identical(layer_output(net, s), want)
                 nxt.extend(want)
             sets = nxt
 
@@ -160,7 +159,7 @@ class TestLayerOutputMatchesFold:
         b = np.array([0.75, 2 * ON_PLANE_TOL])
         net = Network([Layer(w, b, RELU), Layer(np.ones((1, 2)), np.zeros(1), IDENTITY)])
         s = box_polytope([-1.0], [1.0])
-        got = layer_output(net, s, 0)
+        got = layer_output(net, s)
         assert_bit_identical(got, fold_layer_output(net, s, 0))
         assert len(got) == 2
         assert not got[0].current_vertices[:, 1].any()
@@ -240,7 +239,7 @@ class TestOutputOverapproxBatch:
         unsafe = single_constraint(a, 0.5)
         sets = [box_polytope(-np.ones(sizes[0]), np.ones(sizes[0]))]
         for layer in range(net.num_layers - 1):
-            siblings = layer_output(net, sets[0], layer)
+            siblings = layer_output(net, sets[0])
             z = output_overapprox(net, siblings)
             assert z.num_members == len(siblings)
             verdicts = vzono.is_provably_safe(z, unsafe)
@@ -265,7 +264,7 @@ class TestOutputOverapproxBatch:
     def test_rejects_sets_at_different_layers(self):
         net = fx.random_network([2, 5, 4, 2], seed=21)
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
-        child = layer_output(net, s, 0)[0]
+        child = layer_output(net, s)[0]
         with pytest.raises(ValueError, match="share one layer cursor, got \\[0, 1\\]"):
             output_overapprox(net, [s, child])
         with pytest.raises(ValueError):
@@ -286,8 +285,8 @@ class TestOneFilterCallPerExpansion:
             batches.append(sets)
             return relax(net, sets)
 
-        def spy_expand(net, s, layer):
-            expansions.append(expand(net, s, layer))
+        def spy_expand(net, s):
+            expansions.append(expand(net, s))
             return expansions[-1]
 
         monkeypatch.setattr(reach_mod, "output_overapprox", spy_relax)
@@ -310,7 +309,7 @@ class TestBacktrack:
         net = fx.toy_unsafe_network()
         s = box_polytope([-1.0, -1.0], [1.0, 1.0])
         for k in range(net.num_layers):
-            (s,) = layer_output(net, s, k)
+            (s,) = layer_output(net, s)
         return net, s
 
     def test_entirely_inside_returns_same_vertices(self):

@@ -1,13 +1,23 @@
 """Repair loop: correction geometry, vertex pairs, volume, convergence."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relurepair import fixtures as fx
-from relurepair.model import IDENTITY, RELU, Layer, Network, TrainConfig, accuracy, forward
-from relurepair.reach import ReachOptions, SafetyProperty, UnsafeDomain, reach_unsafe
+from relurepair import reach as reach_mod
+from relurepair.model import IDENTITY, RELU, LabeledDataset, Layer, Network, TrainConfig, accuracy
+from relurepair.reach import (
+    ReachOptions,
+    SafetyProperty,
+    UnsafeDomain,
+    exact_final_sets,
+    projection_polygon,
+    reach_unsafe,
+    reach_unsafe_all,
+)
 from relurepair.repair import (
     EXHAUSTED,
     REPAIRED,
@@ -20,7 +30,10 @@ from relurepair.repair import (
     unsafe_volume_ratio,
 )
 
-from conftest import triangle_tracked
+from conftest import forward, holds, triangle_tracked
+
+# by module path: the package re-exports the function `repair`
+repair_mod = importlib.import_module("relurepair.repair")
 
 
 def identity_prop(a, b):
@@ -106,7 +119,7 @@ class TestCorrect:
         y = np.array([0.0, 0.1, 0.5, 0.9, 0.2])  # y1 below every other advisory
         got = correct(y, u, 0.02)
         assert (got[0] > got[1:]).any()
-        assert not u.holds(got)
+        assert not holds(u, got)
 
     def test_exits_domain_with_exact_overshoot(self):
         rng = np.random.default_rng(0)
@@ -116,11 +129,11 @@ class TestCorrect:
             cons = [(rng.normal(size=dim), float(rng.normal() * 0.5)) for _ in range(int(rng.integers(1, 4)))]
             u = UnsafeDomain(cons)
             y = rng.normal(size=dim) * 2
-            if not u.holds(y):
+            if not holds(u, y):
                 continue
             checked += 1
             got = correct(y, u, 0.02)
-            assert not u.holds(got)
+            assert not holds(u, got)
             dists = [-(float(a @ y) + b) / np.linalg.norm(a) for a, b in cons]
             assert np.linalg.norm(got - y) == pytest.approx(1.02 * min(dists), abs=1e-12)
 
@@ -288,3 +301,124 @@ class TestRepair:
         for rec in report.iterations:
             for v in rec.unsafe_volume_ratios.values():
                 assert 0.0 <= v <= 1.0
+
+
+def duplicate_named_properties():
+    """Two properties named "dup" on the toy unsafe network, y0 - y1 <= 0
+    unsafe: the box [-1,1]^2 alone holds one unsafe region, [5,6]x[0,1]
+    none."""
+    unsafe = UnsafeDomain([(np.array([1.0, -1.0]), 0.0)])
+    return [
+        SafetyProperty("dup", [-1.0, -1.0], [1.0, 1.0], unsafe),
+        SafetyProperty("dup", [5.0, 0.0], [6.0, 1.0], unsafe),
+    ]
+
+
+def no_training(*args):
+    raise AssertionError("repair trained on rejected inputs")
+
+
+class TestRepairInputChecks:
+    def test_fixture_regions_differ_by_box(self):
+        net = fx.toy_unsafe_network()
+        p1, p2 = duplicate_named_properties()
+        assert len(reach_unsafe(net, p1)) == 1
+        assert reach_unsafe(net, p2) == []
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_reach_rejects_duplicate_names(self, order):
+        props = duplicate_named_properties()[::order]
+        with pytest.raises(ValueError, match="duplicate property name 'dup'"):
+            reach_unsafe_all(fx.toy_unsafe_network(), props)
+
+    def test_reach_rejects_duplicate_names_on_one_box(self):
+        p1, _ = duplicate_named_properties()
+        other = SafetyProperty("dup", p1.input_lb, p1.input_ub, UnsafeDomain([(np.array([-1.0, 1.0]), 0.0)]))
+        with pytest.raises(ValueError, match="duplicate property name 'dup'"):
+            reach_unsafe_all(fx.toy_unsafe_network(), [p1, other])
+
+    def test_repair_rejects_duplicate_names_before_training(self, monkeypatch):
+        net = fx.toy_unsafe_network()
+        data = fx.sampled_dataset(fx.toy_safe_network(), [-1, -1], [1, 1], 100, seed=0)
+        monkeypatch.setattr(repair_mod, "train", no_training)
+        with pytest.raises(ValueError, match="duplicate property name 'dup'"):
+            repair(net, duplicate_named_properties(), data, data, RepairConfig(max_iterations=3))
+
+    @pytest.mark.parametrize(
+        "which, field, width, want",
+        [
+            ("training", "inputs", 3, "training inputs are 3 wide, network expects 2"),
+            ("training", "targets", 1, "training targets are 1 wide, network has 2 outputs"),
+            ("test", "inputs", 1, "test inputs are 1 wide, network expects 2"),
+            ("test", "targets", 3, "test targets are 3 wide, network has 2 outputs"),
+        ],
+    )
+    def test_repair_rejects_datasets_of_the_wrong_width(self, monkeypatch, which, field, width, want):
+        net = fx.toy_unsafe_network()
+        good = fx.sampled_dataset(fx.toy_safe_network(), [-1, -1], [1, 1], 50, seed=0)
+        cols = {"inputs": good.inputs, "targets": good.targets}
+        cols[field] = np.resize(cols[field][:, :1], (len(good), width))
+        bad = LabeledDataset(cols["inputs"], cols["targets"])
+        train_data, test_data = (bad, good) if which == "training" else (good, bad)
+        monkeypatch.setattr(repair_mod, "reach_unsafe_all", no_training)
+        monkeypatch.setattr(repair_mod, "train", no_training)
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            repair(net, [fx.toy_property()], train_data, test_data, RepairConfig(max_iterations=3))
+
+    def test_safe_network_with_one_column_targets_is_rejected(self):
+        # every label of one-column targets is 0, so accuracy alone cannot tell
+        net = fx.toy_safe_network()
+        prop = fx.toy_property()
+        data = fx.sampled_dataset(net, prop.input_lb, prop.input_ub, 100, seed=0)
+        cut = LabeledDataset(data.inputs, data.targets[:, :1])
+        with pytest.raises(ValueError, match="training targets are 1 wide, network has 2 outputs"):
+            repair(net, [prop], cut, cut, RepairConfig(max_iterations=3))
+
+
+class TestProjectionPass:
+    def test_one_unfiltered_exploration_per_box_and_iteration(self, monkeypatch):
+        net = fx.toy_unsafe_network()
+        p1 = fx.toy_property()
+        p2 = SafetyProperty("reverse", p1.input_lb, p1.input_ub,
+                            UnsafeDomain([(np.array([-1.0, 1.0]), 0.5)]))
+        train_data = fx.sampled_dataset(fx.toy_safe_network(), p1.input_lb, p1.input_ub, 400, seed=0)
+        test_data = fx.sampled_dataset(fx.toy_safe_network(), p1.input_lb, p1.input_ub, 200, seed=1)
+        cfg = RepairConfig(
+            max_iterations=3,
+            projection_axes=(0, 1),
+            train=TrainConfig(learning_rate=0.05, epochs_per_iteration=5, seed=0),
+        )
+        unfiltered = []
+        explore = reach_mod._explore
+
+        def spy_explore(net, groups, opts, *args, **kwargs):
+            if not opts.use_filter:
+                unfiltered.append([p.name for _, _, props in groups for p in props])
+            return explore(net, groups, opts, *args, **kwargs)
+
+        candidates = [net]
+        train = repair_mod.train
+
+        def spy_train(*args):
+            candidates.append(train(*args))
+            return candidates[-1]
+
+        monkeypatch.setattr(reach_mod, "_explore", spy_explore)
+        monkeypatch.setattr(repair_mod, "train", spy_train)
+        _, report = repair(net, [p1, p2], train_data, test_data, cfg)
+        assert len(report.iterations) == 3
+        assert unfiltered == [[]] * 3  # one pass per iteration, with no properties
+
+        # the report one exploration per property would build
+        for rec, candidate in zip(report.iterations, candidates):
+            want = {}
+            for p in (p1, p2):
+                want[p.name] = {
+                    "reachable": [projection_polygon(s.current_vertices, 0, 1)
+                                  for s in exact_final_sets(candidate, p)],
+                    "unsafe": [projection_polygon(r.current_vertices, 0, 1)
+                               for r in reach_unsafe(candidate, p)],
+                }
+            assert rec.projections == want
+        assert report.iterations[0].projections[p1.name]["unsafe"]
+

@@ -14,7 +14,6 @@ from relurepair.vzono import (
     VZono,
     affine_map,
     column_bounds,
-    constraint_min,
     from_tracked,
     interval_hull,
     is_provably_safe,
@@ -22,6 +21,7 @@ from relurepair.vzono import (
 )
 
 from conftest import (
+    constraint_min,
     enum_vzono_vertices,
     neuron_bounds,
     region_points,
