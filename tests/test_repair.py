@@ -314,8 +314,8 @@ def duplicate_named_properties():
     ]
 
 
-def no_training(*args):
-    raise AssertionError("repair trained on rejected inputs")
+def must_not_run(*args, **kwargs):
+    raise AssertionError("repair went past its input checks")
 
 
 class TestRepairInputChecks:
@@ -340,7 +340,7 @@ class TestRepairInputChecks:
     def test_repair_rejects_duplicate_names_before_training(self, monkeypatch):
         net = fx.toy_unsafe_network()
         data = fx.sampled_dataset(fx.toy_safe_network(), [-1, -1], [1, 1], 100, seed=0)
-        monkeypatch.setattr(repair_mod, "train", no_training)
+        monkeypatch.setattr(repair_mod, "train", must_not_run)
         with pytest.raises(ValueError, match="duplicate property name 'dup'"):
             repair(net, duplicate_named_properties(), data, data, RepairConfig(max_iterations=3))
 
@@ -357,11 +357,11 @@ class TestRepairInputChecks:
         net = fx.toy_unsafe_network()
         good = fx.sampled_dataset(fx.toy_safe_network(), [-1, -1], [1, 1], 50, seed=0)
         cols = {"inputs": good.inputs, "targets": good.targets}
-        cols[field] = np.resize(cols[field][:, :1], (len(good), width))
+        cols[field] = np.zeros((len(good), width))
         bad = LabeledDataset(cols["inputs"], cols["targets"])
         train_data, test_data = (bad, good) if which == "training" else (good, bad)
-        monkeypatch.setattr(repair_mod, "reach_unsafe_all", no_training)
-        monkeypatch.setattr(repair_mod, "train", no_training)
+        monkeypatch.setattr(repair_mod, "reach_unsafe_all", must_not_run)
+        monkeypatch.setattr(repair_mod, "train", must_not_run)
         with pytest.raises(ValueError, match=f"^{want}$"):
             repair(net, [fx.toy_property()], train_data, test_data, RepairConfig(max_iterations=3))
 
