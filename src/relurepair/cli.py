@@ -23,6 +23,7 @@ from .model import LabeledDataset, TrainConfig, load_nnet, save_nnet
 from .reach import (
     ReachOptions,
     ReachStats,
+    check_projection_axes,
     check_unique_names,
     exact_final_sets,
     projection_polygon,
@@ -38,7 +39,17 @@ def _load_properties(path):
         data = json.load(f)
     if not isinstance(data, list):
         raise ValueError(f"{path}: a property file holds a JSON list of properties")
-    props = [property_from_dict(d) for d in data]
+    props = []
+    for k, d in enumerate(data):
+        where = f"{path}: property {k}"
+        if not isinstance(d, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        try:
+            props.append(property_from_dict(d))
+        except KeyError as exc:
+            raise ValueError(f"{where} has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     check_unique_names(props)
     return props
 
@@ -52,7 +63,12 @@ def _save_properties(props, path):
 def _load_dataset(path):
     with open(path) as f:
         data = json.load(f)
-    return LabeledDataset(np.asarray(data["inputs"], float), np.asarray(data["targets"], float))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a dataset is a JSON object with 'inputs' and 'targets'")
+    try:
+        return LabeledDataset(np.asarray(data["inputs"], float), np.asarray(data["targets"], float))
+    except KeyError as exc:
+        raise ValueError(f"{path}: dataset has no {exc}") from None
 
 
 def _save_dataset(data, path):
@@ -124,13 +140,6 @@ def _reach_options(args):
     )
 
 
-def _projection_axes(args, output_dim):
-    i, j = args.project if args.project is not None else (0, 1 if output_dim > 1 else 0)
-    if not (0 <= i < output_dim and 0 <= j < output_dim):
-        raise ValueError(f"projection axes ({i},{j}) out of range for {output_dim} outputs")
-    return i, j
-
-
 def _timed_reach(net, prop, opts, args):
     """reach_unsafe on one property; returns the regions and a row of its
     counters plus, unless --no-timing, its wall time."""
@@ -166,12 +175,9 @@ def cmd_reach(args):
     net = load_nnet(args.net)
     props = _load_properties(args.props)
     ropts = ReachOptions(max_sets=args.max_sets)
-    axes = _projection_axes(args, net.output_dim)
-    explored = []
-    for prop in props:
-        regions = []
-        finals = exact_final_sets(net, prop, ropts, regions=regions)
-        explored.append((prop.name, finals, regions))
+    axes = args.project if args.project is not None else (0, 1 if net.output_dim > 1 else 0)
+    check_projection_axes(axes, net.output_dim)
+    explored = [(prop.name, *exact_final_sets(net, prop, ropts)) for prop in props]
     _emit(_reach_chunks(explored, axes, args.dump_sets), args.out)
     return 0
 
@@ -216,7 +222,6 @@ def cmd_repair(args):
     props = _load_properties(args.props)
     train_data = _load_dataset(args.train_data)
     test_data = _load_dataset(args.test_data)
-    axes = None if args.project is None else _projection_axes(args, net.output_dim)
     cfg = RepairConfig(
         alpha=args.alpha,
         epsilon=args.epsilon,
@@ -229,7 +234,7 @@ def cmd_repair(args):
             seed=args.seed,
         ),
         reach=_reach_options(args),
-        projection_axes=axes,
+        projection_axes=args.project,
         seed=args.seed,
     )
     repaired_net, report = repair(net, props, train_data, test_data, cfg)
@@ -346,7 +351,7 @@ def build_parser():
     sp.add_argument("--train-data", required=True, help="training data JSON")
     sp.add_argument("--test-data", required=True, help="test data JSON")
     sp.add_argument("--project", type=_parse_project, default=None,
-                    help="record per-iteration output projections on axes i,j")
+                    help="record per-iteration projections of the unsafe regions on axes i,j")
     sp.add_argument("--out-net", default="repaired.nnet",
                     help="path for the repaired NNet (default repaired.nnet)")
     sp.add_argument("--alpha", type=float, default=0.02)

@@ -215,8 +215,8 @@ def _provably_safe(net, sets, props):
 
 def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     """Explore each (lb, ub, props) group's input box depth-first, one stack
-    of tracked sets per box; a branch is pruned only when provably safe for
-    every property of its group.
+    of tracked sets per box; props is nonempty, and a branch is pruned only
+    when provably safe for every property of its group.
 
     Returns (regions by property name, safe final sets or None, final sets
     in exploration order or None). Every call follows one policy:
@@ -245,7 +245,7 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
 
     def push(stack, sets, props):
         """Push sibling sets, each with whether it is provably safe."""
-        if opts.use_filter and props and sets[0].layer_cursor < net.num_layers:
+        if opts.use_filter and sets[0].layer_cursor < net.num_layers:
             stack.extend(zip(sets, _provably_safe(net, sets, props)))
         else:
             stack.extend((s, False) for s in sets)
@@ -312,28 +312,18 @@ def check_unique_names(properties):
         seen.add(p.name)
 
 
-def group_by_box(properties):
-    """Lists of the properties that share an input box, bit for bit, in
-    order of first appearance."""
-    groups = {}
-    for p in properties:
-        groups.setdefault((p.input_lb.tobytes(), p.input_ub.tobytes()), []).append(p)
-    return list(groups.values())
-
-
 def reach_unsafe(net, prop, opts=None, stats=None):
     """All unsafe input regions of one property, in canonical order.
 
     Raises MaxSetsExceeded (carrying partial results) past the exploration cap.
     """
-    result = reach_unsafe_all(net, [prop], opts, stats)
-    return result[prop.name]
+    return reach_unsafe_all(net, [prop], opts, stats)[prop.name]
 
 
 def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None):
     """Unsafe regions for several properties, grouping properties that share
-    an input box into one exploration; a branch is pruned only when provably
-    safe for every property of its group.
+    an input box, bit for bit, into one exploration; a branch is pruned only
+    when provably safe for every property of its group.
 
     Returns {property name: canonically sorted regions}, each a
     fvim.TrackedSet restricted to the unsafe domain; property names must be
@@ -348,11 +338,13 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     `stats` once they are added to it.
     """
     check_unique_names(properties)
+    groups = {}
     for p in properties:
         _check_dims(net, p)
+        groups.setdefault((p.input_lb.tobytes(), p.input_ub.tobytes()), []).append(p)
     regions, safe_sets, _ = _explore(
         net,
-        [(g[0].input_lb, g[0].input_ub, g) for g in group_by_box(properties)],
+        [(g[0].input_lb, g[0].input_ub, g) for g in groups.values()],
         opts or ReachOptions(),
         stats,
         collect_safe=safe_collector is not None,
@@ -362,25 +354,19 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     return regions
 
 
-def exact_final_sets(net, prop, opts=None, stats=None, regions=None):
-    """Fully propagated tracked sets of the exact analysis, one per linear
-    region of the input box; the union of their output hulls is the exact
-    reachable output domain.
-
-    When a list is passed as `regions`, the same unpruned exploration also
-    backtracks every final set through the property's unsafe domain, and the
-    list receives the unsafe regions in canonical order. They are the regions
-    reach_unsafe returns: the filter prunes only subtrees that hold none.
+def exact_final_sets(net, prop, opts=None, stats=None):
+    """(final sets, unsafe regions) of one unpruned exploration of the
+    property's input box. There is one final set per linear region of the
+    box, and the union of their output hulls is the exact reachable output
+    domain. The regions are canonically sorted and equal reach_unsafe's: the
+    filter prunes only subtrees that hold none.
     """
     _check_dims(net, prop)
     opts = replace(opts or ReachOptions(), use_filter=False)
-    props = [] if regions is None else [prop]
-    found, _, final_sets = _explore(
-        net, [(prop.input_lb, prop.input_ub, props)], opts, stats, collect_final=True
+    regions, _, final_sets = _explore(
+        net, [(prop.input_lb, prop.input_ub, [prop])], opts, stats, collect_final=True
     )
-    if regions is not None:
-        regions.extend(found[prop.name])
-    return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices))
+    return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices)), regions[prop.name]
 
 
 def _half_hull(pts):
@@ -397,6 +383,15 @@ def _half_hull(pts):
             chain.pop()
         chain.append(p)
     return chain
+
+
+def check_projection_axes(axes, output_dim):
+    """Reject projection axes other than two integer output indices."""
+    text = "(" + ",".join(map(str, axes)) + ")"
+    if len(axes) != 2 or not all(isinstance(k, (int, np.integer)) for k in axes):
+        raise ValueError(f"projection axes {text} must be two integers")
+    if min(axes) < 0 or max(axes) >= output_dim:
+        raise ValueError(f"projection axes {text} out of range for {output_dim} outputs")
 
 
 def projection_polygon(points, i, j):

@@ -24,8 +24,7 @@ from .model import (
 from .reach import (
     MaxSetsExceeded,
     ReachOptions,
-    exact_final_sets,
-    group_by_box,
+    check_projection_axes,
     projection_polygon,
     reach_unsafe_all,
 )
@@ -66,7 +65,7 @@ class RepairConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     reach: ReachOptions = field(default_factory=ReachOptions)
     # output axes (i, j); when set, each iteration records the 2-d projections
-    # of the exact reachable sets and unsafe regions for plotting
+    # of its unsafe regions for plotting
     projection_axes: tuple | None = None
     seed: int = 0
 
@@ -84,7 +83,7 @@ class IterationRecord:
     unsafe_volume_ratios: dict
     accuracy: float
     wall_time_s: float
-    # per property: {"reachable": [polygon, ...], "unsafe": [polygon, ...]}
+    # per property: {"unsafe": [polygon, ...]}
     projections: dict | None = None
     # corrected unsafe pairs and sampled safe pairs merged this iteration, and
     # the training pool size after the merge; once every property verifies
@@ -227,6 +226,8 @@ def repair(net, properties, train_data, test_data, cfg=None):
                 f"{label} targets are {data.targets.shape[1]} wide, "
                 f"network has {net.output_dim} outputs"
             )
+    if cfg.projection_axes is not None:
+        check_projection_axes(cfg.projection_axes, net.output_dim)
 
     base_acc = accuracy(net, test_data)
     candidate = net
@@ -252,14 +253,11 @@ def repair(net, properties, train_data, test_data, cfg=None):
         projections = None
         if cfg.projection_axes is not None:
             i, j = cfg.projection_axes
-            projections = {}
-            for group in group_by_box(properties):
-                # the unfiltered final sets depend only on the input box
-                finals = exact_final_sets(candidate, group[0], cfg.reach)
-                reachable = [projection_polygon(s.current_vertices, i, j) for s in finals]
-                for p in group:
-                    unsafe = [projection_polygon(r.current_vertices, i, j) for r in regions[p.name]]
-                    projections[p.name] = {"reachable": reachable, "unsafe": unsafe}
+            projections = {
+                p.name: {"unsafe": [projection_polygon(r.current_vertices, i, j)
+                                    for r in regions[p.name]]}
+                for p in properties
+            }
         record = IterationRecord(it, counts, ratios, acc, 0.0, projections, pool_size=len(pool))
         report.iterations.append(record)
 

@@ -162,6 +162,24 @@ class TestReach:
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["name", "lb", "ub", "unsafe", "a", "b", "entry"])
+    def test_malformed_property_names_file_entry_and_key(self, fixture_dir, tmp_path, capsys, case):
+        props = json.loads((fixture_dir / "toy_props.json").read_text())
+        want = f"property 0 has no {case!r}"
+        if case == "entry":
+            props[0] = [1, 2]
+            want = "property 0 is not a JSON object"
+        elif case in ("a", "b"):
+            del props[0]["unsafe"][0][case]
+        else:
+            del props[0][case]
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps(props))
+        out = tmp_path / "r.json"
+        assert run(["verify", "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {path}: {want}"
+        assert not out.exists()
+
     def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "toy_unsafe.nnet").read_text().splitlines()
         lines[8] = "nan," + lines[8].split(",", 1)[1]  # first weight row
@@ -182,7 +200,8 @@ def two_pass_reach(net_path, props_path, dump_sets=True):
     out = {"projection_axes": [i, j], "properties": []}
     for prop in _load_properties(str(props_path)):
         sets = []
-        for s in exact_final_sets(net, prop):
+        finals, _ = exact_final_sets(net, prop)
+        for s in finals:
             entry = {
                 "output_vertices": s.current_vertices.tolist(),
                 "projection": projection_polygon(s.current_vertices, i, j),
@@ -468,7 +487,7 @@ class TestRepair:
         assert code == 0
         report = json.loads(out.read_text())["report"]
         first = report["iterations"][0]["projections"]
-        assert "reachable" in list(first.values())[0]
+        assert list(first.values())[0].keys() == {"unsafe"}
         assert list(first.values())[0]["unsafe"], "first pass must show the violation"
 
     def test_impossible_gate_exits_three(self, fixture_dir, tmp_path):
@@ -529,6 +548,54 @@ class TestRepair:
         assert "out of range" in capsys.readouterr().err
         assert not out.exists() and not out_net.exists()
 
+    @pytest.mark.parametrize("axes", ["0,9", "0.5,1"])
+    def test_bad_projection_axes_exit_two(self, fixture_dir, tmp_path, capsys, axes):
+        want = {"0,9": "error: projection axes (0,9) out of range for 2 outputs",
+                "0.5,1": "argument --project: invalid _parse_project value: '0.5,1'"}[axes]
+        out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
+        args = [
+            "repair",
+            "--net", fixture_dir / "toy_unsafe.nnet",
+            "--props", fixture_dir / "toy_props.json",
+            "--train-data", fixture_dir / "toy_train.json",
+            "--test-data", fixture_dir / "toy_test.json",
+            f"--project={axes}",
+            "--out", out, "--out-net", out_net,
+        ]
+        try:
+            code = run(args)
+        except SystemExit as exc:  # argparse rejects an axis that is no integer
+            code = exc.code
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists() and not out_net.exists()
+
+    @pytest.mark.parametrize("key", ["inputs", "targets", "list"])
+    def test_dataset_without_key_names_file_and_key(self, fixture_dir, tmp_path, capsys, key):
+        doc = json.loads((fixture_dir / "toy_train.json").read_text())
+        want = f"dataset has no {key!r}"
+        if key == "list":
+            doc = [doc["inputs"], doc["targets"]]
+            want = "a dataset is a JSON object with 'inputs' and 'targets'"
+        else:
+            del doc[key]
+        train = tmp_path / "train.json"
+        train.write_text(json.dumps(doc))
+        out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
+        code = run(
+            [
+                "repair",
+                "--net", fixture_dir / "toy_unsafe.nnet",
+                "--props", fixture_dir / "toy_props.json",
+                "--train-data", train,
+                "--test-data", fixture_dir / "toy_test.json",
+                "--out", out, "--out-net", out_net,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {train}: {want}"
+        assert not out.exists() and not out_net.exists()
+
 
 NO_SCIPY = """
 import json, os, sys
@@ -565,8 +632,7 @@ def test_runs_without_scipy(tmp_path):
     assert all(e["projection"] for e in reach["reachable_sets"] + reach["unsafe_regions"])
     first = json.loads((tmp_path / "repair.json").read_text())["report"]["iterations"][0]
     for proj in first["projections"].values():
-        assert proj["reachable"] and proj["unsafe"]
-        assert all(proj["reachable"]) and all(proj["unsafe"])
+        assert proj["unsafe"] and all(proj["unsafe"])
 
 
 class TestBench:

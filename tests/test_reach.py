@@ -443,7 +443,7 @@ class TestReachUnsafe:
         prop = unit_prop(2, single_constraint([1.0, -1.0]))
         stats = ReachStats()
         with pytest.raises(MaxSetsExceeded) as err:
-            exact_final_sets(net, prop, ReachOptions(max_sets=30), stats, regions=[])
+            exact_final_sets(net, prop, ReachOptions(max_sets=30), stats)
         assert stats == err.value.stats
         assert stats.explored_sets == 31
         partial = err.value.regions["p"]
@@ -677,11 +677,10 @@ class TestUnsafeNormalLength:
                                              "network has 2 outputs"):
             reach_unsafe(fx.toy_unsafe_network(), prop, ReachOptions(use_filter=use_filter))
 
-    @pytest.mark.parametrize("regions", [None, []])
-    def test_exact_final_sets_names_the_property(self, regions):
+    def test_exact_final_sets_names_the_property(self):
         prop = unit_prop(2, single_constraint([1.0]), name="toy-1-out")
         with pytest.raises(ValueError, match="'toy-1-out' has an unsafe normal of length 1"):
-            exact_final_sets(fx.toy_unsafe_network(), prop, regions=regions)
+            exact_final_sets(fx.toy_unsafe_network(), prop)
 
 
 def lazy_fit_cases():
@@ -698,7 +697,8 @@ def eagerly_fitted_halfspaces(net, prop):
     """Halfspaces fitted as soon as each final set is restricted to the unsafe
     domain, keyed by the restricted set's exact input vertices."""
     fitted = {}
-    for s in exact_final_sets(net, prop):
+    finals, _ = exact_final_sets(net, prop)
+    for s in finals:
         rest = s
         for a, b in prop.unsafe.constraints:
             rest = keep_leq(rest, a, b)
@@ -806,7 +806,7 @@ class TestExactOutputDomain:
         w = np.array([[1.0, 2.0], [0.0, 1.0]])
         net = Network([Layer(w, np.array([0.5, 0.0]), IDENTITY)])
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        finals = exact_final_sets(net, prop)
+        finals, _ = exact_final_sets(net, prop)
         assert len(finals) == 1
         box = box_polytope(prop.input_lb, prop.input_ub)
         assert np.allclose(
@@ -814,24 +814,34 @@ class TestExactOutputDomain:
             np.sort(box.input_vertices @ w.T + [0.5, 0.0], axis=0),
         )
 
-    @pytest.mark.parametrize("regions", [None, []])
-    def test_rejects_property_of_wrong_dimension(self, regions):
+    def test_rejects_property_of_wrong_dimension(self):
         net = fx.toy_unsafe_network()
         prop = unit_prop(3, single_constraint([1.0, -1.0]), name="toy-3d")
         with pytest.raises(ValueError, match="'toy-3d' is 3-dimensional, network expects 2"):
-            exact_final_sets(net, prop, regions=regions)
+            exact_final_sets(net, prop)
+
+    @pytest.mark.parametrize("seed", [21, 25])
+    def test_regions_are_those_of_reach_unsafe(self, seed):
+        net = fx.random_network([2, 5, 4, 2], seed=seed)
+        prop = unit_prop(2, single_constraint([1.0, -1.0]))
+        _, regions = exact_final_sets(net, prop)
+        want = reach_unsafe(net, prop)
+        assert regions and len(regions) == len(want)
+        for r, w in zip(regions, want):
+            assert np.array_equal(r.input_vertices, w.input_vertices)
+            assert np.array_equal(r.current_vertices, w.current_vertices)
 
     def test_set_count_bounded_by_relu_count(self):
         net = fx.random_network([2, 4, 3, 2], seed=24)
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        finals = exact_final_sets(net, prop)
+        finals, _ = exact_final_sets(net, prop)
         assert all(s.current_vertices.shape[1] == 2 for s in finals)
         assert len(finals) <= 2 ** 7
 
     def test_sampled_outputs_interpolate_in_containing_region(self):
         net = fx.random_network([2, 5, 4, 2], seed=25)
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        finals = exact_final_sets(net, prop)
+        finals, _ = exact_final_sets(net, prop)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1, 1, size=(150, 2))
         outs = forward_batch(net, pts)
@@ -847,7 +857,7 @@ class TestExactOutputDomain:
     def test_forward_is_piecewise_linear_on_regions(self):
         net = fx.random_network([2, 4, 4, 2], seed=26)
         prop = unit_prop(2, single_constraint([1.0, 0.0]))
-        finals = exact_final_sets(net, prop)
+        finals, _ = exact_final_sets(net, prop)
         rng = np.random.default_rng(5)
         for s in finals[:10]:
             w = rng.dirichlet(np.ones(s.num_vertices), size=20)

@@ -13,7 +13,6 @@ from relurepair.reach import (
     ReachOptions,
     SafetyProperty,
     UnsafeDomain,
-    exact_final_sets,
     projection_polygon,
     reach_unsafe,
     reach_unsafe_all,
@@ -374,9 +373,28 @@ class TestRepairInputChecks:
         with pytest.raises(ValueError, match="training targets are 1 wide, network has 2 outputs"):
             repair(net, [prop], cut, cut, RepairConfig(max_iterations=3))
 
+    @pytest.mark.parametrize(
+        "axes, want",
+        [
+            ((0, 9), r"projection axes \(0,9\) out of range for 2 outputs"),
+            ((-1, 0), r"projection axes \(-1,0\) out of range for 2 outputs"),
+            ((0.5, 1), r"projection axes \(0.5,1\) must be two integers"),
+        ],
+        ids=["0,9", "-1,0", "0.5,1"],
+    )
+    def test_repair_rejects_bad_projection_axes_before_exploring(self, monkeypatch, axes, want):
+        net = fx.toy_unsafe_network()
+        data = fx.sampled_dataset(fx.toy_safe_network(), [-1, -1], [1, 1], 50, seed=0)
+        monkeypatch.setattr(repair_mod, "reach_unsafe_all", must_not_run)
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            repair(net, [fx.toy_property()], data, data,
+                   RepairConfig(max_iterations=3, projection_axes=axes))
+
 
 class TestProjectionPass:
-    def test_one_unfiltered_exploration_per_box_and_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("axes", [None, (0, 1)])
+    def test_one_exploration_per_iteration(self, monkeypatch, axes, use_filter):
         net = fx.toy_unsafe_network()
         p1 = fx.toy_property()
         p2 = SafetyProperty("reverse", p1.input_lb, p1.input_ub,
@@ -385,15 +403,15 @@ class TestProjectionPass:
         test_data = fx.sampled_dataset(fx.toy_safe_network(), p1.input_lb, p1.input_ub, 200, seed=1)
         cfg = RepairConfig(
             max_iterations=3,
-            projection_axes=(0, 1),
+            projection_axes=axes,
+            reach=ReachOptions(use_filter=use_filter),
             train=TrainConfig(learning_rate=0.05, epochs_per_iteration=5, seed=0),
         )
-        unfiltered = []
+        filters = []
         explore = reach_mod._explore
 
         def spy_explore(net, groups, opts, *args, **kwargs):
-            if not opts.use_filter:
-                unfiltered.append([p.name for _, _, props in groups for p in props])
+            filters.append(opts.use_filter)
             return explore(net, groups, opts, *args, **kwargs)
 
         candidates = [net]
@@ -407,18 +425,32 @@ class TestProjectionPass:
         monkeypatch.setattr(repair_mod, "train", spy_train)
         _, report = repair(net, [p1, p2], train_data, test_data, cfg)
         assert len(report.iterations) == 3
-        assert unfiltered == [[]] * 3  # one pass per iteration, with no properties
+        assert filters == [use_filter] * 3  # one pass per iteration, as configured
+        if axes is None:
+            assert all(rec.projections is None for rec in report.iterations)
+            return
 
-        # the report one exploration per property would build
+        # the polygons of the regions one exploration per property finds
         for rec, candidate in zip(report.iterations, candidates):
-            want = {}
-            for p in (p1, p2):
-                want[p.name] = {
-                    "reachable": [projection_polygon(s.current_vertices, 0, 1)
-                                  for s in exact_final_sets(candidate, p)],
-                    "unsafe": [projection_polygon(r.current_vertices, 0, 1)
-                               for r in reach_unsafe(candidate, p)],
-                }
+            want = {
+                p.name: {"unsafe": [projection_polygon(r.current_vertices, 0, 1)
+                                    for r in reach_unsafe(candidate, p)]}
+                for p in (p1, p2)
+            }
             assert rec.projections == want
         assert report.iterations[0].projections[p1.name]["unsafe"]
+
+    def test_budget_the_filtered_pass_fits_is_enough(self):
+        # max_sets=106 fits the filtered pass (19 sets) but not an unfiltered
+        # one (193 sets), so projections must come from the filtered pass
+        net, prop = fx.bench_network(), fx.bench_property()
+        train_data = fx.sampled_dataset(net, prop.input_lb, prop.input_ub, 200, seed=0)
+        test_data = fx.sampled_dataset(net, prop.input_lb, prop.input_ub, 100, seed=1)
+        cfg = RepairConfig(max_iterations=3, reach=ReachOptions(max_sets=106),
+                           projection_axes=(0, 1), train=TrainConfig(epochs_per_iteration=2))
+        _, report = repair(net, [prop], train_data, test_data, cfg)
+        first = report.iterations[0].projections[prop.name]["unsafe"]
+        assert first == [projection_polygon(r.current_vertices, 0, 1)
+                         for r in reach_unsafe(net, prop)]
+        assert first
 
