@@ -677,10 +677,17 @@ class TestUnsafeNormalLength:
                                              "network has 2 outputs"):
             reach_unsafe(fx.toy_unsafe_network(), prop, ReachOptions(use_filter=use_filter))
 
-    def test_exact_final_sets_names_the_property(self):
+    @pytest.mark.parametrize("regions", [None, []])
+    def test_exact_final_sets_names_the_property(self, regions):
+        """Rejected before any set is explored, whether the caller drops the
+        returned regions (None) or gathers them into a list."""
         prop = unit_prop(2, single_constraint([1.0]), name="toy-1-out")
+        stats = ReachStats()
         with pytest.raises(ValueError, match="'toy-1-out' has an unsafe normal of length 1"):
-            exact_final_sets(fx.toy_unsafe_network(), prop)
+            _, found = exact_final_sets(fx.toy_unsafe_network(), prop, stats=stats)
+            regions is None or regions.extend(found)
+        assert stats.explored_sets == 0
+        assert not regions
 
 
 def lazy_fit_cases():
@@ -814,11 +821,18 @@ class TestExactOutputDomain:
             np.sort(box.input_vertices @ w.T + [0.5, 0.0], axis=0),
         )
 
-    def test_rejects_property_of_wrong_dimension(self):
+    @pytest.mark.parametrize("regions", [None, []])
+    def test_rejects_property_of_wrong_dimension(self, regions):
+        """Rejected before any set is explored, whether the caller drops the
+        returned regions (None) or gathers them into a list."""
         net = fx.toy_unsafe_network()
         prop = unit_prop(3, single_constraint([1.0, -1.0]), name="toy-3d")
+        stats = ReachStats()
         with pytest.raises(ValueError, match="'toy-3d' is 3-dimensional, network expects 2"):
-            exact_final_sets(net, prop)
+            _, found = exact_final_sets(net, prop, stats=stats)
+            regions is None or regions.extend(found)
+        assert stats.explored_sets == 0
+        assert not regions
 
     @pytest.mark.parametrize("seed", [21, 25])
     def test_regions_are_those_of_reach_unsafe(self, seed):
