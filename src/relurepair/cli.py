@@ -308,10 +308,11 @@ def cmd_fixtures(args):
 
 
 def _parse_project(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated axes, e.g. 0,1")
-    return int(parts[0]), int(parts[1])
+    try:  # a wrong field count fails the unpacking with ValueError too
+        i, j = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected two comma-separated integer axes, e.g. 0,1") from None
+    return i, j
 
 
 def build_parser():

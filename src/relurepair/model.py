@@ -118,9 +118,18 @@ class TrainConfig:
 
 
 def _parse_numbers(line, lineno, kind=float):
-    toks = [t for t in line.strip().split(",") if t.strip() != ""]
+    # float and int strip whitespace themselves, so a well-formed row (with
+    # or without a trailing comma) takes one call per field; a blank field
+    # inside the row fails that and is skipped by the loop below
+    toks = line.split(",")
+    if not toks[-1].strip():
+        toks.pop()
     try:
-        return [kind(t) for t in toks]
+        return list(map(kind, toks))
+    except ValueError:
+        pass
+    try:
+        return [kind(t) for t in toks if t.strip() != ""]
     except ValueError:
         raise NNetFormatError(f"line {lineno}: non-numeric token in {line.strip()!r}") from None
 

@@ -426,5 +426,8 @@ def property_to_dict(prop):
 
 
 def property_from_dict(d):
-    unsafe = UnsafeDomain([(np.asarray(c["a"], float), float(c["b"])) for c in d["unsafe"]])
+    cons = d["unsafe"]
+    if not (isinstance(cons, list) and all(isinstance(c, dict) for c in cons)):
+        raise ValueError('unsafe must be a list of {"a", "b"} objects')
+    unsafe = UnsafeDomain([(np.asarray(c["a"], float), float(c["b"])) for c in cons])
     return SafetyProperty(d["name"], d["lb"], d["ub"], unsafe)

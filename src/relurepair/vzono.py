@@ -13,6 +13,13 @@ base vectors; the per-member row counts say where each member's rows are.
 Per-member minima, maxima and sums reduce each member's rows at once; a
 member's column sum adds the member's rows in the order numpy adds that
 column of the member alone.
+
+A relaxed set holds no all-zero base vector after an affine map, so none
+is left in a network's relaxed output: affine_map drops the base vectors it
+maps to zero, as when a layer ignores some of its inputs. That is exact,
+since a zero base vector adds nothing to any signed sum, and it would stay
+zero under every later affine map and ReLU scaling. One that relu_layer
+zeroes, because it lives only in dead columns, goes at the next affine map.
 """
 
 from __future__ import annotations
@@ -114,12 +121,20 @@ def from_tracked(sets):
 
 def affine_map(z, w, b):
     """Map every member by y = W x + b: base vertices affinely, base vectors
-    linearly."""
+    linearly. The result holds no all-zero base vector: one that W maps to
+    zero is dropped, which leaves every member's point set as it is. A
+    member may be left with no base vectors, only its base vertices."""
     w = np.asarray(w, float)
     b = np.asarray(b, float)
     if w.shape[1] != z.dim:
         raise ValueError(f"W has {w.shape[1]} columns, set is {z.dim}-dimensional")
-    return VZono(z.base_vertices @ w.T + b, z.base_vectors @ w.T, z.vertex_counts, z.vector_counts)
+    v = z.base_vectors @ w.T
+    sc = z.vector_counts
+    live = v.any(axis=1)
+    if not live.all():
+        sc = np.bincount(np.arange(sc.size).repeat(sc)[live], minlength=sc.size)
+        v = v[live]
+    return VZono(z.base_vertices @ w.T + b, v, z.vertex_counts, sc)
 
 
 def column_bounds(z):

@@ -162,13 +162,18 @@ class TestReach:
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["name", "lb", "ub", "unsafe", "a", "b", "entry"])
+    @pytest.mark.parametrize(
+        "case", ["name", "lb", "ub", "unsafe", "a", "b", "entry", "unsafe=5", "unsafe=ab", "unsafe=[5]"]
+    )
     def test_malformed_property_names_file_entry_and_key(self, fixture_dir, tmp_path, capsys, case):
         props = json.loads((fixture_dir / "toy_props.json").read_text())
         want = f"property 0 has no {case!r}"
         if case == "entry":
             props[0] = [1, 2]
             want = "property 0 is not a JSON object"
+        elif case.startswith("unsafe="):
+            props[0]["unsafe"] = {"unsafe=5": 5, "unsafe=ab": "ab", "unsafe=[5]": [5]}[case]
+            want = 'property 0: unsafe must be a list of {"a", "b"} objects'
         elif case in ("a", "b"):
             del props[0]["unsafe"][0][case]
         else:
@@ -548,27 +553,31 @@ class TestRepair:
         assert "out of range" in capsys.readouterr().err
         assert not out.exists() and not out_net.exists()
 
-    @pytest.mark.parametrize("axes", ["0,9", "0.5,1"])
+    @pytest.mark.parametrize("axes", ["0,9", "0.5,1", "1,2,3"])
     def test_bad_projection_axes_exit_two(self, fixture_dir, tmp_path, capsys, axes):
-        want = {"0,9": "error: projection axes (0,9) out of range for 2 outputs",
-                "0.5,1": "argument --project: invalid _parse_project value: '0.5,1'"}[axes]
+        want = {"0,9": "error: projection axes (0,9) out of range for 2 outputs"}.get(
+            axes, "argument --project: expected two comma-separated integer axes, e.g. 0,1")
         out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
-        args = [
-            "repair",
-            "--net", fixture_dir / "toy_unsafe.nnet",
-            "--props", fixture_dir / "toy_props.json",
-            "--train-data", fixture_dir / "toy_train.json",
-            "--test-data", fixture_dir / "toy_test.json",
-            f"--project={axes}",
-            "--out", out, "--out-net", out_net,
-        ]
-        try:
-            code = run(args)
-        except SystemExit as exc:  # argparse rejects an axis that is no integer
-            code = exc.code
-        assert code == 2
-        assert want in capsys.readouterr().err
-        assert not out.exists() and not out_net.exists()
+        for command in ("reach", "repair"):
+            args = [
+                command,
+                "--net", fixture_dir / "toy_unsafe.nnet",
+                "--props", fixture_dir / "toy_props.json",
+                f"--project={axes}",
+                "--out", out,
+            ]
+            if command == "repair":
+                args += ["--train-data", fixture_dir / "toy_train.json",
+                         "--test-data", fixture_dir / "toy_test.json", "--out-net", out_net]
+            try:
+                code = run(args)
+            except SystemExit as exc:  # argparse rejects axes that are not two integers
+                code = exc.code
+            assert code == 2
+            err = capsys.readouterr().err
+            assert want in err
+            assert "_parse_project" not in err
+            assert not out.exists() and not out_net.exists()
 
     @pytest.mark.parametrize("key", ["inputs", "targets", "list"])
     def test_dataset_without_key_names_file_and_key(self, fixture_dir, tmp_path, capsys, key):

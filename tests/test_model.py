@@ -19,7 +19,7 @@ from relurepair.model import (
     train,
 )
 
-from conftest import forward, mse_loss, straight_forward
+from conftest import forward, mse_loss, reference_nnet_layers, straight_forward
 
 
 def write_nnet(path, sizes, weights, biases, mins=None, maxes=None):
@@ -191,6 +191,58 @@ class TestLoadNNet:
         write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)], mins=[-5.0, 0.0], maxes=[5.0, 9.0])
         net = load_nnet(p)
         assert np.array_equal(net.mins, [-5.0, 0.0])
+
+
+# each data line rewritten as another writer might leave it
+ROW_VARIANTS = {
+    "crlf": lambda row: row + "\r",
+    "space after last comma": lambda row: row + " ",
+    "no trailing comma": lambda row: row.rstrip(","),
+    "spaces around fields": lambda row: " " + row.replace(",", " ,\t"),
+}
+
+
+class TestRowParser:
+    """load_nnet reads every row as the per-token float() reference does."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        net = fx.random_network([5, 64, 64, 5], seed=7)
+        # signed zero, subnormal and extreme magnitudes keep their bits too
+        net.layers[0].weights[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-7]
+        net.layers[1].bias[3] = -0.0
+        p = tmp_path / "net.nnet"
+        save_nnet(net, p)  # repr floats
+        return net, p
+
+    @staticmethod
+    def assert_same_layers(got, want):
+        assert len(got.layers) == len(want)
+        for ly, (w, b) in zip(got.layers, want):
+            assert ly.weights.shape == w.shape and ly.weights.tobytes() == w.tobytes()
+            assert ly.bias.shape == b.shape and ly.bias.tobytes() == b.tobytes()
+
+    def test_repr_floats_load_bit_identical_to_reference(self, saved):
+        net, p = saved
+        want = reference_nnet_layers(p)
+        self.assert_same_layers(load_nnet(p), want)
+        self.assert_same_layers(net, want)
+
+    @pytest.mark.parametrize("variant", sorted(ROW_VARIANTS))
+    def test_rewritten_rows_load_as_the_plain_file(self, saved, tmp_path, variant):
+        _, p = saved
+        lines = p.read_text().splitlines()
+        edit = ROW_VARIANTS[variant]
+        q = tmp_path / "variant.nnet"
+        with open(q, "w", newline="") as f:  # keep the \r of the crlf rows
+            f.write("".join((ln if ln.startswith("//") else edit(ln)) + "\n" for ln in lines))
+        assert q.read_bytes() != p.read_bytes()
+        got = load_nnet(q)
+        self.assert_same_layers(got, reference_nnet_layers(q))
+        self.assert_same_layers(got, reference_nnet_layers(p))
+        plain = load_nnet(p)
+        for name in ("mins", "maxes", "means", "ranges"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes()
 
 
 class TestForward:

@@ -92,6 +92,18 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             affine_map(z, np.eye(3), np.zeros(3))
 
+    def test_drops_base_vectors_mapped_to_zero(self):
+        # W ignores axis 1: member 0 keeps one of its two base vectors and
+        # member 1 is left with none
+        z = VZono(np.array([[1.0, 2.0], [0.0, 5.0]]),
+                  np.array([[0.0, 1.0], [3.0, 1.0], [0.0, -2.0]]), [1, 1], [2, 1])
+        out = affine_map(z, np.array([[2.0, 0.0]]), np.array([1.0]))
+        assert out.base_vertices.tolist() == [[3.0], [1.0]]
+        assert out.base_vectors.tolist() == [[6.0]]
+        assert out.vector_counts.tolist() == [1, 0]
+        lo, hi = column_bounds(out)
+        assert lo.tolist() == [[-3.0], [1.0]] and hi.tolist() == [[9.0], [1.0]]
+
 
 class TestNeuronBounds:
     def test_generator_cross(self):
@@ -547,6 +559,64 @@ class TestBatchMatchesBatchOfOne:
         lo, hi = column_bounds(stack_members(members))
         assert lo.tolist() == [[-0.5, -6.0], [0.0, 0.0], [-1.0, 2.0]]
         assert hi.tolist() == [[2.5, 2.0], [1.0, 1.0], [-1.0, 2.0]]
+
+
+def affine_map_keeping_zero_rows(z, w, b):
+    """affine_map without its compaction: every base vector is mapped, the
+    ones W sends to zero too."""
+    return VZono(z.base_vertices @ w.T + b, z.base_vectors @ w.T, z.vertex_counts, z.vector_counts)
+
+
+@st.composite
+def nets_ignoring_inputs(draw):
+    """A sibling batch and 1-3 affine layers, each of which ignores some of
+    its inputs (zero weight columns) and may hold dead neurons (a zero
+    weight row with a negative bias, which the next relu_layer zeroes)."""
+    members, rng = draw(sibling_batches())
+    dims = [members[0].dim] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    layers = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        w = rng.normal(size=(d_out, d_in))
+        w[:, rng.random(d_in) < 0.4] = 0.0
+        b = rng.normal(size=d_out)
+        dead = rng.random(d_out) < 0.3
+        w[dead] = 0.0
+        b[dead] = -1.0
+        layers.append((w, b))
+    return members, layers, rng
+
+
+class TestAffineMapDropsZeroBaseVectors:
+    """Dropping the base vectors an affine map zeroes keeps every member's
+    point set: the kept rows are the mapped nonzero rows, bit for bit, the
+    bounds agree up to summation order, and no verdict changes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=nets_ignoring_inputs())
+    def test_same_sets_bounds_and_verdicts(self, case):
+        members, layers, rng = case
+        z = stack_members(members)
+        for w, b in layers:
+            out = affine_map(z, w, b)
+            full = affine_map_keeping_zero_rows(z, w, b)
+            assert out.base_vectors.any(axis=1).all()
+            assert out.num_members == full.num_members
+            for j in range(out.num_members):
+                kept = member(full, j).base_vectors
+                assert_same_vzono(member(out, j), VZono(member(full, j).base_vertices,
+                                                        kept[kept.any(axis=1)]))
+            # np.add.reduceat groups a member's rows differently once its
+            # zero rows are gone, which can move the last bits of a sum
+            scale = max(1.0, np.abs(full.base_vertices).max(),
+                        np.abs(full.base_vectors).sum(axis=0).max(initial=0.0))
+            for got, want in zip(column_bounds(out), column_bounds(full)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+            dim = out.dim
+            for _ in range(3):
+                cons = [(rng.integers(-2, 3, size=dim) * 0.5, float(rng.integers(-4, 5)) * 0.5)
+                        for _ in range(int(rng.integers(1, 3)))]
+                assert is_provably_safe(out, cons).tolist() == is_provably_safe(full, cons).tolist()
+            z = relu_layer(out)
 
 
 class TestBatchConstruction:
