@@ -118,18 +118,10 @@ class TrainConfig:
 
 
 def _parse_numbers(line, lineno, kind=float):
-    # float and int strip whitespace themselves, so a well-formed row (with
-    # or without a trailing comma) takes one call per field; a blank field
-    # inside the row fails that and is skipped by the loop below
-    toks = line.split(",")
-    if not toks[-1].strip():
-        toks.pop()
+    # float and int strip whitespace themselves, so each field takes one
+    # call; blank fields, such as the one after a trailing comma, are skipped
     try:
-        return list(map(kind, toks))
-    except ValueError:
-        pass
-    try:
-        return [kind(t) for t in toks if t.strip() != ""]
+        return list(map(kind, filter(str.strip, line.split(","))))
     except ValueError:
         raise NNetFormatError(f"line {lineno}: non-numeric token in {line.strip()!r}") from None
 

@@ -39,24 +39,6 @@ def enum_vzono_vertices(z):
     return np.vstack(out)
 
 
-def reference_nnet_layers(path):
-    """(weights, bias) of every layer of an NNet file, each field parsed by
-    its own float() call after the line is stripped and blank fields are
-    dropped: the reference for model.load_nnet's row parser."""
-    with open(path) as f:
-        rows = [[float(t) for t in line.strip().split(",") if t.strip() != ""]
-                for line in f if not line.startswith("//") and line.strip() != ""]
-    sizes = [int(s) for s in rows[1]]
-    at = 7  # counts, sizes, symmetric flag, mins, maxes, means, ranges
-    layers = []
-    for n in sizes[1:]:
-        w = np.array(rows[at:at + n])
-        b = np.array([r[0] for r in rows[at + n:at + 2 * n]])
-        layers.append((w, b))
-        at += 2 * n
-    return layers
-
-
 # One-neuron forms of the relaxed set, kept as references for vzono's batched
 # functions: bounds and relaxation of one coordinate, and the support
 # function. They read a VZono as one set.

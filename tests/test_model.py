@@ -19,7 +19,7 @@ from relurepair.model import (
     train,
 )
 
-from conftest import forward, mse_loss, reference_nnet_layers, straight_forward
+from conftest import forward, mse_loss, straight_forward
 
 
 def write_nnet(path, sizes, weights, biases, mins=None, maxes=None):
@@ -38,6 +38,13 @@ def write_nnet(path, sizes, weights, biases, mins=None, maxes=None):
         for v in b:
             lines.append(repr(float(v)) + ",")
     path.write_text("\n".join(lines) + "\n")
+
+
+def assert_same_layers(got, want):
+    assert len(got.layers) == len(want.layers)
+    for g, w in zip(got.layers, want.layers):
+        assert g.weights.shape == w.weights.shape and g.weights.tobytes() == w.weights.tobytes()
+        assert g.bias.shape == w.bias.shape and g.bias.tobytes() == w.bias.tobytes()
 
 
 class TestLoadNNet:
@@ -62,6 +69,9 @@ class TestLoadNNet:
 
     def test_controller_scale_fixture_round_trip(self, tmp_path):
         net = fx.random_network([5] + [50] * 6 + [5], seed=3)
+        # signed zero, subnormal and extreme magnitudes keep their bits too
+        net.layers[0].weights[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-7]
+        net.layers[1].bias[3] = -0.0
         p = tmp_path / "controller.nnet"
         save_nnet(net, p)
         loaded = load_nnet(p)
@@ -69,9 +79,7 @@ class TestLoadNNet:
         assert loaded.layer_sizes() == net.layer_sizes()
         # decimal repr round-trips weights bit-exactly
         assert loaded.layers[2].weights[17, 31] == net.layers[2].weights[17, 31]
-        for got, want in zip(loaded.layers, net.layers):
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
+        assert_same_layers(loaded, net)
 
     def test_malformed_header_reports_line(self, tmp_path):
         p = tmp_path / "bad.nnet"
@@ -202,47 +210,22 @@ ROW_VARIANTS = {
 }
 
 
-class TestRowParser:
-    """load_nnet reads every row as the per-token float() reference does."""
-
-    @pytest.fixture
-    def saved(self, tmp_path):
-        net = fx.random_network([5, 64, 64, 5], seed=7)
-        # signed zero, subnormal and extreme magnitudes keep their bits too
-        net.layers[0].weights[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-7]
-        net.layers[1].bias[3] = -0.0
-        p = tmp_path / "net.nnet"
-        save_nnet(net, p)  # repr floats
-        return net, p
-
-    @staticmethod
-    def assert_same_layers(got, want):
-        assert len(got.layers) == len(want)
-        for ly, (w, b) in zip(got.layers, want):
-            assert ly.weights.shape == w.shape and ly.weights.tobytes() == w.tobytes()
-            assert ly.bias.shape == b.shape and ly.bias.tobytes() == b.tobytes()
-
-    def test_repr_floats_load_bit_identical_to_reference(self, saved):
-        net, p = saved
-        want = reference_nnet_layers(p)
-        self.assert_same_layers(load_nnet(p), want)
-        self.assert_same_layers(net, want)
-
-    @pytest.mark.parametrize("variant", sorted(ROW_VARIANTS))
-    def test_rewritten_rows_load_as_the_plain_file(self, saved, tmp_path, variant):
-        _, p = saved
-        lines = p.read_text().splitlines()
-        edit = ROW_VARIANTS[variant]
-        q = tmp_path / "variant.nnet"
-        with open(q, "w", newline="") as f:  # keep the \r of the crlf rows
-            f.write("".join((ln if ln.startswith("//") else edit(ln)) + "\n" for ln in lines))
-        assert q.read_bytes() != p.read_bytes()
-        got = load_nnet(q)
-        self.assert_same_layers(got, reference_nnet_layers(q))
-        self.assert_same_layers(got, reference_nnet_layers(p))
-        plain = load_nnet(p)
-        for name in ("mins", "maxes", "means", "ranges"):
-            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes()
+@pytest.mark.parametrize("variant", sorted(ROW_VARIANTS))
+def test_rewritten_rows_load_as_the_plain_file(tmp_path, variant):
+    net = fx.random_network([5, 64, 64, 5], seed=7)
+    p = tmp_path / "net.nnet"
+    save_nnet(net, p)
+    lines = p.read_text().splitlines()
+    edit = ROW_VARIANTS[variant]
+    q = tmp_path / "variant.nnet"
+    with open(q, "w", newline="") as f:  # keep the \r of the crlf rows
+        f.write("".join((ln if ln.startswith("//") else edit(ln)) + "\n" for ln in lines))
+    assert q.read_bytes() != p.read_bytes()
+    got = load_nnet(q)
+    assert_same_layers(got, net)
+    plain = load_nnet(p)
+    for name in ("mins", "maxes", "means", "ranges"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes()
 
 
 class TestForward:
