@@ -133,6 +133,8 @@ def load_nnet(path):
     output_dim, max_layer_size); a layer-sizes line; a symmetric flag;
     input mins, maxes, means, ranges lines; then per layer the weight rows
     (row-major) followed by one bias value per row, all comma-separated.
+    Blank fields are skipped. Anything but comments and blank lines after
+    the last layer is rejected.
     """
     with open(path) as f:
         raw = f.readlines()
@@ -180,29 +182,58 @@ def load_nnet(path):
             raise NNetFormatError(f"line {lineno}: expected {want} {name} values, got {len(vals)}")
         header[name] = vals
 
+    def read_rows(count, width, k, kind):
+        """The next `count` rows of `width` numbers each, as a (count, width) array."""
+        texts, linenos = [], []
+
+        def parse_each():
+            # one row at a time, so the first bad row in the file is reported
+            out = np.empty((len(texts), width))
+            for r, (text, ln) in enumerate(zip(texts, linenos)):
+                vals = _parse_numbers(text, ln)
+                if len(vals) != width:
+                    raise NNetFormatError(
+                        f"line {ln}: layer {k} {kind} row {r} has {len(vals)} values, expected {width}"
+                    )
+                out[r] = vals
+            return out
+
+        for _ in range(count):
+            try:
+                texts.append(next_line())
+            except NNetFormatError:  # the file ended inside this block
+                parse_each()
+                raise
+            linenos.append(lineno)
+        # numpy's C reader parses the whole block at once. It rejects blank
+        # fields mid-row and the spellings only float() accepts ("1_000",
+        # non-ASCII digits); those rows, and every malformed one, go through
+        # parse_each. An all-blank row would be skipped, or make loadtxt warn.
+        # Rows are trimmed one at a time and max_rows sizes the array once: a
+        # list of trimmed copies and a growing array left the heap of a long
+        # corridor-deep run 1.5 MB larger.
+        trim = ", \t\r\n"
+        if all(text.rstrip(trim) for text in texts):
+            try:
+                block = np.loadtxt(
+                    (text.rstrip(trim) for text in texts),
+                    delimiter=",", comments=None, ndmin=2, max_rows=count,
+                )
+            except ValueError:
+                pass
+            else:
+                if block.shape == (count, width):
+                    return block, linenos
+        return parse_each(), linenos
+
     layers = []
     for k in range(num_layers):
         rows, cols = sizes[k + 1], sizes[k]
-        w = np.empty((rows, cols))
-        row_lines = []  # line of each weight row, then of each bias row
-        for r in range(rows):
-            vals = _parse_numbers(next_line(), lineno)
-            row_lines.append(lineno)
-            if len(vals) != cols:
-                raise NNetFormatError(
-                    f"line {lineno}: layer {k} weight row {r} has {len(vals)} values, expected {cols}"
-                )
-            w[r] = vals
-        b = np.empty(rows)
-        for r in range(rows):
-            vals = _parse_numbers(next_line(), lineno)
-            row_lines.append(lineno)
-            if len(vals) != 1:
-                raise NNetFormatError(
-                    f"line {lineno}: layer {k} bias row {r} has {len(vals)} values, expected 1"
-                )
-            b[r] = vals[0]
-        # float() parses "nan" and "inf"; one check per layer rejects them
+        w, w_lines = read_rows(rows, cols, k, "weight")
+        b, b_lines = read_rows(rows, 1, k, "bias")
+        b = b.ravel()
+        row_lines = w_lines + b_lines  # line of each weight row, then of each bias row
+        # both parsers accept "nan" and "inf"; one check per layer rejects them
         finite = np.concatenate([np.isfinite(w).all(axis=1), np.isfinite(b)])
         if not finite.all():
             raise NNetFormatError(
@@ -211,7 +242,11 @@ def load_nnet(path):
         act = IDENTITY if k == num_layers - 1 else RELU
         layers.append(Layer(w, b, act))
 
-    return Network(layers, **header)
+    try:
+        next_line()
+    except NNetFormatError:  # only comments and blank lines follow the last layer
+        return Network(layers, **header)
+    raise NNetFormatError(f"line {lineno}: data after the last layer")
 
 
 def save_nnet(net, path):

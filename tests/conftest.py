@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from relurepair.fvim import ON_PLANE_TOL, TrackedSet
-from relurepair.model import RELU, forward_batch
+from relurepair.model import IDENTITY, RELU, Layer, Network, NNetFormatError, forward_batch
 from relurepair import fixtures as fx
 from relurepair.reach import SafetyProperty, UnsafeDomain
 from relurepair.vzono import VZono, _normal, _relax_coeffs
@@ -223,3 +223,105 @@ def acceptance_networks():
 @pytest.fixture(scope="session")
 def acceptance_cases():
     return acceptance_networks()
+
+
+# The NNet loader as it was before it read each layer block with
+# numpy.loadtxt: one row at a time, one float() per field. Kept verbatim as
+# the reference for the block reader's arrays and error messages.
+
+
+def _reference_parse_numbers(line, lineno, kind=float):
+    # float and int strip whitespace themselves, so each field takes one
+    # call; blank fields, such as the one after a trailing comma, are skipped
+    try:
+        return list(map(kind, filter(str.strip, line.split(","))))
+    except ValueError:
+        raise NNetFormatError(f"line {lineno}: non-numeric token in {line.strip()!r}") from None
+
+
+def reference_load_nnet(path):
+    """Load a network from an NNet text file.
+
+    Layout: '//' comment lines; a counts line (num_layers, input_dim,
+    output_dim, max_layer_size); a layer-sizes line; a symmetric flag;
+    input mins, maxes, means, ranges lines; then per layer the weight rows
+    (row-major) followed by one bias value per row, all comma-separated.
+    """
+    with open(path) as f:
+        raw = f.readlines()
+
+    lineno = 0
+    n = len(raw)
+
+    def next_line():
+        nonlocal lineno
+        while lineno < n:
+            lineno += 1
+            text = raw[lineno - 1]
+            if text.startswith("//") or text.strip() == "":
+                continue
+            return text
+        raise NNetFormatError(f"line {n}: file ended early")
+
+    counts = _reference_parse_numbers(next_line(), lineno, int)
+    if len(counts) < 3:
+        raise NNetFormatError(f"line {lineno}: header needs at least 3 counts, got {len(counts)}")
+    num_layers, input_dim, output_dim = counts[0], counts[1], counts[2]
+    if num_layers < 1 or input_dim < 1 or output_dim < 1:
+        raise NNetFormatError(f"line {lineno}: non-positive count in header")
+
+    sizes = _reference_parse_numbers(next_line(), lineno, int)
+    if len(sizes) != num_layers + 1:
+        raise NNetFormatError(
+            f"line {lineno}: expected {num_layers + 1} layer sizes, got {len(sizes)}"
+        )
+    if sizes[0] != input_dim or sizes[-1] != output_dim:
+        raise NNetFormatError(f"line {lineno}: layer sizes disagree with header counts")
+    if min(sizes) < 1:
+        raise NNetFormatError(f"line {lineno}: layer sizes must be at least 1, got {sizes}")
+
+    next_line()  # symmetric flag, unused
+    header = {}
+    for name, want in (
+        ("mins", input_dim),
+        ("maxes", input_dim),
+        ("means", input_dim + 1),
+        ("ranges", input_dim + 1),
+    ):
+        vals = _reference_parse_numbers(next_line(), lineno)
+        if len(vals) != want:
+            raise NNetFormatError(f"line {lineno}: expected {want} {name} values, got {len(vals)}")
+        header[name] = vals
+
+    layers = []
+    for k in range(num_layers):
+        rows, cols = sizes[k + 1], sizes[k]
+        w = np.empty((rows, cols))
+        row_lines = []  # line of each weight row, then of each bias row
+        for r in range(rows):
+            vals = _reference_parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
+            if len(vals) != cols:
+                raise NNetFormatError(
+                    f"line {lineno}: layer {k} weight row {r} has {len(vals)} values, expected {cols}"
+                )
+            w[r] = vals
+        b = np.empty(rows)
+        for r in range(rows):
+            vals = _reference_parse_numbers(next_line(), lineno)
+            row_lines.append(lineno)
+            if len(vals) != 1:
+                raise NNetFormatError(
+                    f"line {lineno}: layer {k} bias row {r} has {len(vals)} values, expected 1"
+                )
+            b[r] = vals[0]
+        # float() parses "nan" and "inf"; one check per layer rejects them
+        finite = np.concatenate([np.isfinite(w).all(axis=1), np.isfinite(b)])
+        if not finite.all():
+            raise NNetFormatError(
+                f"line {row_lines[int(np.argmin(finite))]}: layer {k} has a non-finite value"
+            )
+        act = IDENTITY if k == num_layers - 1 else RELU
+        layers.append(Layer(w, b, act))
+
+    return Network(layers, **header)

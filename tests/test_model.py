@@ -1,7 +1,11 @@
 """Network model: NNet parsing, evaluation, training, accuracy."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relurepair import fixtures as fx
 from relurepair.model import (
@@ -19,7 +23,7 @@ from relurepair.model import (
     train,
 )
 
-from conftest import forward, mse_loss, straight_forward
+from conftest import forward, mse_loss, reference_load_nnet, straight_forward
 
 
 def write_nnet(path, sizes, weights, biases, mins=None, maxes=None):
@@ -194,6 +198,49 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError, match="file ended early"):
             load_nnet(p)
 
+    def test_bad_row_before_an_end_inside_the_weight_block_is_reported(self, tmp_path):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 3, 2], [np.eye(3, 2), np.eye(2, 3)], [np.zeros(3), np.zeros(2)])
+        text = p.read_text().splitlines()[:10]  # ends after 2 of layer 0's 3 weight rows
+        text[8] = "1.0,x?,"  # weight row 0
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 9: non-numeric token in '1.0,x\\?,'$"):
+            load_nnet(p)
+
+    def test_blank_bias_rows_report_the_count_without_warning(self, tmp_path):
+        p = tmp_path / "bad.nnet"
+        write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[10] = text[11] = ","  # both bias rows of layer 0
+        p.write_text("\n".join(text) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NNetFormatError, match="^line 11: layer 0 bias row 0 has 0 values, expected 1$"):
+                load_nnet(p)
+
+    @pytest.mark.parametrize("tail", ["9.0,9.0,", "rubbish"])
+    def test_data_after_the_last_layer_is_rejected(self, tmp_path, tail):
+        net = fx.random_network([2, 3, 2], seed=0)
+        p = tmp_path / "net.nnet"
+        save_nnet(net, p)
+        with open(p, "a") as f:
+            f.write("// comments and blank lines may follow\n\n")
+        assert_same_layers(load_nnet(p), net)
+        end = len(p.read_text().splitlines())
+        with open(p, "a") as f:
+            f.write(tail + "\n")
+        with pytest.raises(NNetFormatError, match=f"^line {end + 1}: data after the last layer$"):
+            load_nnet(p)
+
+    def test_too_few_layers_in_the_header_is_rejected(self, tmp_path):
+        p = tmp_path / "net.nnet"
+        write_nnet(p, [2, 2, 2], [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+        text = p.read_text().splitlines()
+        text[1], text[2] = "1,2,2,2,", "2,2,"  # one layer, so layer 1's rows are left over
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(NNetFormatError, match="^line 13: data after the last layer$"):
+            load_nnet(p)
+
     def test_normalization_stored(self, tmp_path):
         p = tmp_path / "norm.nnet"
         write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)], mins=[-5.0, 0.0], maxes=[5.0, 9.0])
@@ -226,6 +273,91 @@ def test_rewritten_rows_load_as_the_plain_file(tmp_path, variant):
     plain = load_nnet(p)
     for name in ("mins", "maxes", "means", "ranges"):
         assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes()
+
+
+FAULTS = ["token", "short", "long", "non-finite", "truncate"]
+ODD_TOKENS = ["x?", "1_000", "\u0661", "0x10", "1.0.0", "--1", "1e", "nan(1)"]
+
+
+def random_layers(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    layers = []
+    for k in range(len(sizes) - 1):
+        rows, cols = sizes[k + 1], sizes[k]
+        w = draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+        b = draw(st.lists(finite, min_size=rows, max_size=rows))
+        act = IDENTITY if k == len(sizes) - 2 else RELU
+        layers.append(Layer(np.reshape(w, (rows, cols)), np.array(b), act))
+    return layers
+
+
+def rewrite(draw, lines):
+    """Saved NNet lines with rewritten rows and at most one fault, as text.
+
+    Every data row may get a blank field and one of ROW_VARIANTS. The fault
+    is a bad token, a missing or extra field, a non-finite value or a cut;
+    it never adds data after the last layer, which the loader rejects and
+    the reference ignores.
+    """
+    for i, line in enumerate(lines):
+        if line.startswith("//"):
+            continue
+        fields = line.split(",")
+        if draw(st.booleans()):
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["", " ", "\t"])))
+        variant = draw(st.sampled_from([None] + sorted(ROW_VARIANTS)))
+        line = ",".join(fields)
+        lines[i] = ROW_VARIANTS[variant](line) if variant else line
+    fault = draw(st.sampled_from([None] + FAULTS))
+    if fault == "truncate":
+        text = "\n".join(lines) + "\n"
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if fault is not None:
+        # a weight or bias row: the first follows the comment, 3 header lines and 4 vectors
+        i = draw(st.integers(8, len(lines) - 1))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        if fault == "token":
+            any_char = st.characters(exclude_categories=["Cs"], exclude_characters="\r\n")
+            fields[j] = draw(st.sampled_from(ODD_TOKENS) | st.text(any_char, max_size=4))
+        elif fault == "short":
+            del fields[j]
+        elif fault == "long":
+            fields.insert(j, "1.0")
+        else:
+            fields[j] = draw(st.sampled_from(["nan", "-inf", "1e999", "NaN", "infinity", "-1E+999"]))
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def load_outcome(load, path):
+    """Every array of the loaded net as bytes, or the loader's error message."""
+    try:
+        net = load(path)
+    except NNetFormatError as exc:
+        return str(exc)
+    header = [np.asarray(getattr(net, name)).tobytes() for name in ("mins", "maxes", "means", "ranges")]
+    layers = [
+        (ly.weights.shape, ly.weights.tobytes(), ly.bias.shape, ly.bias.tobytes(), ly.activation)
+        for ly in net.layers
+    ]
+    return header, layers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_reader_matches_the_per_row_reference(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("nnet")
+    saved, p = d / "saved.nnet", d / "net.nnet"
+    save_nnet(Network(random_layers(data.draw)), saved)
+    with open(p, "w", newline="") as f:  # keep the \r of the crlf rows
+        f.write(rewrite(data.draw, saved.read_text().splitlines()))
+    want = load_outcome(reference_load_nnet, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_outcome(load_nnet, p)
+    assert got == want
 
 
 class TestForward:
