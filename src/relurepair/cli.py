@@ -15,6 +15,7 @@ import stat
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +40,8 @@ def _load_properties(path):
         data = json.load(f)
     if not isinstance(data, list):
         raise ValueError(f"{path}: a property file holds a JSON list of properties")
+    if not data:
+        raise ValueError(f"{path}: a property file needs at least one property")
     props = []
     for k, d in enumerate(data):
         where = f"{path}: property {k}"
@@ -141,20 +144,21 @@ def _reach_options(args):
 
 
 def _timed_reach(net, prop, opts, args):
-    """reach_unsafe on one property; returns the regions and a row of its
-    counters plus, unless --no-timing, its wall time."""
+    """reach_unsafe on one property, counting its unsafe regions without
+    keeping them; returns a row of its counters plus, unless --no-timing,
+    its wall time."""
     stats = ReachStats()
     t0 = time.monotonic()
-    regions = reach_unsafe(net, prop, opts, stats)
+    reach_unsafe(net, prop, replace(opts, keep_regions=False), stats)
     elapsed_ms = 1000.0 * (time.monotonic() - t0)
     row = {
         "explored_sets": stats.explored_sets,
         "peak_sets": stats.peak_live_sets,
-        "region_count": len(regions),
+        "region_count": stats.unsafe_regions,
     }
     if not args.no_timing:
         row["wall_time_ms"] = elapsed_ms
-    return regions, row
+    return row
 
 
 def cmd_verify(args):
@@ -164,9 +168,10 @@ def cmd_verify(args):
     results = []
     any_unsafe = False
     for prop in props:
-        regions, row = _timed_reach(net, prop, ropts, args)
-        any_unsafe = any_unsafe or bool(regions)
-        results.append({"property": prop.name, "verdict": "unsafe" if regions else "safe", **row})
+        row = _timed_reach(net, prop, ropts, args)
+        unsafe = row["region_count"] > 0
+        any_unsafe = any_unsafe or unsafe
+        results.append({"property": prop.name, "verdict": "unsafe" if unsafe else "safe", **row})
     _emit({"results": results}, args.out)
     return 1 if any_unsafe else 0
 
@@ -257,7 +262,7 @@ def cmd_bench(args):
         row = {"property": prop.name}
         for label, use_filter in (("filtered", True), ("unfiltered", False)):
             opts = ReachOptions(use_filter=use_filter, max_sets=args.max_sets)
-            _, counts = _timed_reach(net, prop, opts, args)
+            counts = _timed_reach(net, prop, opts, args)
             row[label] = counts
             totals[label][0] += counts.get("wall_time_ms", 0.0)
             totals[label][1] += counts["explored_sets"]

@@ -90,10 +90,15 @@ class ReachOptions:
 
     max_sets caps the sets one call explores, over all its input boxes. The
     relaxed filter's base-vertex cap is the module constant VZONO_CAP.
+    With keep_regions=False the unsafe regions are counted in
+    ReachStats.unsafe_regions and dropped as they are found, so the result
+    maps every property name to an empty list and memory is bounded by the
+    depth-first stack (peak_live_sets), not by the number of regions.
     """
 
     use_filter: bool = True
     max_sets: int = 10**6
+    keep_regions: bool = True
 
     def __post_init__(self):
         if self.max_sets < 1:
@@ -102,23 +107,32 @@ class ReachOptions:
 
 @dataclass
 class ReachStats:
+    """Exploration counters. unsafe_regions counts the regions found over
+    all properties, whether or not ReachOptions.keep_regions kept them."""
+
     explored_sets: int = 0
     pruned_sets: int = 0
     final_sets: int = 0
     peak_live_sets: int = 0
+    unsafe_regions: int = 0
 
     def merge_from(self, other):
         self.explored_sets += other.explored_sets
         self.pruned_sets += other.pruned_sets
         self.final_sets += other.final_sets
         self.peak_live_sets = max(self.peak_live_sets, other.peak_live_sets)
+        self.unsafe_regions += other.unsafe_regions
 
 
 class MaxSetsExceeded(RuntimeError):
     """Exploration hit the max_sets guardrail; carries partial results."""
 
     def __init__(self, limit, regions, stats):
-        super().__init__(f"exceeded max_sets={limit} explored sets")
+        found = stats.unsafe_regions
+        super().__init__(
+            f"exceeded max_sets={limit} explored sets; "
+            f"{found} unsafe region{'' if found == 1 else 's'} found before the cap"
+        )
         self.regions = regions
         self.stats = stats
 
@@ -227,7 +241,8 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
       ends, so on MaxSetsExceeded they equal exc.stats;
     - regions are canonically sorted, in the result and in the exception.
     peak_live_sets is the high-water mark of any group's stack, counting
-    its root.
+    its root. Each region backtrack returns adds one to unsafe_regions; with
+    opts.keep_regions off it is then dropped, and the lists stay empty.
 
     With the filter on, the relaxed check runs once per expansion, on all
     the children of one layer_output together, and each child is pushed with
@@ -268,7 +283,9 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
                     for p in props:
                         region = backtrack(s, p.unsafe)
                         if region is not None:
-                            regions[p.name].append(region)
+                            total.unsafe_regions += 1
+                            if opts.keep_regions:
+                                regions[p.name].append(region)
                             safe = False
                     if safe and safe_sets is not None:
                         safe_sets.append(s)
@@ -315,7 +332,9 @@ def check_unique_names(properties):
 def reach_unsafe(net, prop, opts=None, stats=None):
     """All unsafe input regions of one property, in canonical order.
 
-    Raises MaxSetsExceeded (carrying partial results) past the exploration cap.
+    With opts.keep_regions off the list is empty and the regions are only
+    counted, in stats.unsafe_regions. Raises MaxSetsExceeded (carrying
+    partial results) past the exploration cap.
     """
     return reach_unsafe_all(net, [prop], opts, stats)[prop.name]
 
@@ -328,7 +347,9 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     Returns {property name: canonically sorted regions}, each a
     fvim.TrackedSet restricted to the unsafe domain; property names must be
     unique. Exploration fits no halfspaces; a caller that tests membership
-    fits them once per region with fvim.facet_halfspaces. When a list is
+    fits them once per region with fvim.facet_halfspaces. With
+    opts.keep_regions off every list is empty, and stats.unsafe_regions
+    counts the regions over all properties. When a list is
     passed as safe_collector it receives, once the call finishes, the
     fully-propagated sets that are safe for all properties of their group;
     their arrays are never written again, so copy before writing.

@@ -15,7 +15,14 @@ import relurepair
 from relurepair import fixtures as fx
 from relurepair.cli import _load_properties, build_parser, main
 from relurepair.model import load_nnet, save_nnet
-from relurepair.reach import ReachStats, exact_final_sets, projection_polygon, reach_unsafe
+from relurepair.reach import (
+    MaxSetsExceeded,
+    ReachOptions,
+    ReachStats,
+    exact_final_sets,
+    projection_polygon,
+    reach_unsafe,
+)
 
 from conftest import forward
 
@@ -161,6 +168,20 @@ class TestReach:
         want = f"error: {path}: a property file holds a JSON list of properties"
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "reach", "repair", "bench"])
+    def test_empty_property_file_exits_two(self, fixture_dir, tmp_path, capsys, command):
+        path = tmp_path / "props.json"
+        path.write_text("[]")
+        out, out_net = tmp_path / "r.json", tmp_path / "fixed.nnet"
+        args = [command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]
+        if command == "repair":
+            args += ["--train-data", fixture_dir / "toy_train.json",
+                     "--test-data", fixture_dir / "toy_test.json", "--out-net", out_net]
+        assert run(args) == 2
+        want = f"error: {path}: a property file needs at least one property"
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists() and not out_net.exists()
 
     @pytest.mark.parametrize(
         "case", ["name", "lb", "ub", "unsafe", "a", "b", "entry", "unsafe=5", "unsafe=ab", "unsafe=[5]"]
@@ -664,6 +685,108 @@ class TestBench:
             "explored_ratio", "peak_sets_filtered", "peak_sets_unfiltered",
             "speedup", "wall_time_ms_filtered", "wall_time_ms_unfiltered",
         }
+
+
+@pytest.fixture(scope="module")
+def many_regions(tmp_path_factory):
+    """A [4,6,6,6,6,2] net whose property y0 <= y1 over [-1, 1]^4 has 886
+    unsafe regions, with its property file."""
+    out = tmp_path_factory.mktemp("many")
+    net = out / "n.nnet"
+    save_nnet(fx.random_network([4, 6, 6, 6, 6, 2], seed=0), net)
+    props = out / "p.json"
+    props.write_text(json.dumps([{"name": "y0-not-above-y1", "lb": [-1.0] * 4, "ub": [1.0] * 4,
+                                  "unsafe": [{"a": [-1.0, 1.0], "b": 0.0}]}]))
+    return net, props
+
+
+def keeping_path_documents(net_path, props_path, use_filter):
+    """The --no-timing `verify` and `bench` outputs, built from the regions
+    that reach_unsafe keeps: region_count is their number."""
+    net = load_nnet(str(net_path))
+    props = _load_properties(str(props_path))
+
+    def counts(prop, on):
+        stats = ReachStats()
+        regions = reach_unsafe(net, prop, ReachOptions(use_filter=on), stats)
+        return {"explored_sets": stats.explored_sets, "peak_sets": stats.peak_live_sets,
+                "region_count": len(regions)}
+
+    results = []
+    for prop in props:
+        row = counts(prop, use_filter)
+        results.append({"property": prop.name, "verdict": "unsafe" if row["region_count"] else "safe",
+                        **row})
+    rows = [{"property": p.name, "filtered": counts(p, True), "unfiltered": counts(p, False)}
+            for p in props]
+    explored = {k: sum(r[k]["explored_sets"] for r in rows) for k in ("filtered", "unfiltered")}
+    summary = {
+        "explored_ratio": explored["filtered"] / max(explored["unfiltered"], 1),
+        "peak_sets_filtered": max(r["filtered"]["peak_sets"] for r in rows),
+        "peak_sets_unfiltered": max(r["unfiltered"]["peak_sets"] for r in rows),
+    }
+    return [json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            for doc in ({"results": results}, {"properties": rows, "summary": summary})]
+
+
+class TestCountedRegions:
+    """verify and bench count unsafe regions without keeping them."""
+
+    FIXTURES = [("toy_safe.nnet", "toy_props.json"), ("toy_unsafe.nnet", "toy_props.json"),
+                ("bench.nnet", "bench_props.json"),
+                ("collision_avoidance.nnet", "collision_avoidance_props.json")]
+
+    def _paths(self, fixture_dir, many_regions, case):
+        if case == len(self.FIXTURES):
+            return many_regions
+        return tuple(fixture_dir / name for name in self.FIXTURES[case])
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("case", range(len(FIXTURES) + 1))
+    def test_no_timing_output_equals_the_keeping_path(self, fixture_dir, many_regions, tmp_path,
+                                                      case, use_filter):
+        net, props = self._paths(fixture_dir, many_regions, case)
+        want_verify, want_bench = keeping_path_documents(net, props, use_filter)
+        common = ["--net", net, "--props", props, "--no-timing"]
+        v, b = tmp_path / "v.json", tmp_path / "b.json"
+        code = run(["verify", *common, "--filter", "on" if use_filter else "off", "--out", v])
+        assert code == (1 if '"verdict":"unsafe"' in want_verify else 0)
+        assert v.read_text() == want_verify
+        if use_filter:  # bench runs both
+            assert run(["bench", *common, "--out", b]) == 0
+            assert b.read_text() == want_bench
+
+    def test_verify_peak_memory_below_the_regions_it_counts(self, many_regions, tmp_path):
+        # keeping them, verify held every region's arrays; counting them, its
+        # peak is the depth-first stack's (0.37 MB here against 0.83 MB of
+        # region arrays)
+        net, props = many_regions
+        regions = reach_unsafe(load_nnet(str(net)), _load_properties(str(props))[0])
+        assert len(regions) > 500
+        kept = sum(a.nbytes for r in regions for a in (r.fvim, r.input_vertices, r.current_vertices))
+        del regions
+        out = tmp_path / "v.json"
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--net", net, "--props", props, "--out", out]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_text())["results"][0]["region_count"] > 500
+        assert peak < kept, f"peak {peak} bytes, regions hold {kept}"
+
+    def test_capped_verify_reports_the_regions_found(self, many_regions, tmp_path, capsys):
+        net, props = many_regions
+        prop = _load_properties(str(props))[0]
+        with pytest.raises(MaxSetsExceeded) as err:
+            reach_unsafe(load_nnet(str(net)), prop, ReachOptions(max_sets=300))
+        found = len(err.value.regions[prop.name])
+        assert found > 1
+        out = tmp_path / "v.json"
+        assert run(["verify", "--net", net, "--props", props, "--max-sets", 300, "--out", out]) == 2
+        want = f"error: exceeded max_sets=300 explored sets; {found} unsafe regions found before the cap"
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists()
 
 
 class TestRoundTrip:

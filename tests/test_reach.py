@@ -547,6 +547,86 @@ class TestRegionsAndSafeSetsMatchForwardPass:
             assert safe
 
 
+class TestCountWithoutKeeping:
+    """keep_regions=False counts the regions the keeping path returns, keeps
+    none of them, and leaves every other counter as it was."""
+
+    @staticmethod
+    def _both(call, opts):
+        """(result, stats) of call(opts, stats) keeping and counting."""
+        out = []
+        for keep in (True, False):
+            stats = ReachStats()
+            out.append((call(replace(opts, keep_regions=keep), stats), stats))
+        return out
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("case", range(len(forward_cases())))
+    def test_count_equals_kept_regions(self, case, use_filter):
+        net, props = forward_cases()[case]
+        for p in props:
+            (kept, k_stats), (dropped, c_stats) = self._both(
+                lambda o, st: reach_unsafe(net, p, o, st), ReachOptions(use_filter=use_filter))
+            assert kept and dropped == []
+            assert c_stats.unsafe_regions == k_stats.unsafe_regions == len(kept)
+            assert c_stats == k_stats
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_grouped_boxes_count_every_property(self, use_filter):
+        net, shared = forward_cases()[0]  # "one" and "two" share the full box
+        props = [SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], shared[0].unsafe), *shared]
+        (kept, k_stats), (dropped, c_stats) = self._both(
+            lambda o, st: reach_unsafe_all(net, props, o, st), ReachOptions(use_filter=use_filter))
+        assert all(kept.values())
+        assert dropped == {p.name: [] for p in props}
+        assert c_stats.unsafe_regions == sum(len(r) for r in kept.values())
+        assert c_stats == k_stats
+
+    def test_repeated_calls_add_up(self):
+        net, props = forward_cases()[1]
+        opts = ReachOptions(keep_regions=False)
+        stats = ReachStats()
+        for _ in range(2):
+            for p in props:
+                assert reach_unsafe(net, p, opts, stats) == []
+        once = sum(len(reach_unsafe(net, p)) for p in props)
+        assert once > 0
+        assert stats.unsafe_regions == 2 * once
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_cut_off_counts_the_partial_regions(self, use_filter):
+        net = fx.random_network([2, 5, 4, 2], seed=21)
+        unsafe = single_constraint([1.0, -1.0])
+        small = SafetyProperty("small", [-1.0, -1.0], [0.0, 0.0], unsafe)
+        full = unit_prop(2, unsafe, name="full")
+        excs = []
+        for keep in (True, False):
+            stats = ReachStats()
+            opts = ReachOptions(use_filter=use_filter, max_sets=40, keep_regions=keep)
+            with pytest.raises(MaxSetsExceeded) as err:
+                reach_unsafe_all(net, [small, full], opts, stats)
+            assert stats == err.value.stats
+            excs.append(err.value)
+        kept, dropped = excs
+        partial = sum(len(r) for r in kept.regions.values())
+        assert partial > 0
+        assert dropped.stats.unsafe_regions == kept.stats.unsafe_regions == partial
+        assert dropped.regions == {name: [] for name in kept.regions}
+        assert dropped.stats == kept.stats
+        assert str(dropped) == str(kept)
+        assert str(kept).endswith(f"; {partial} unsafe regions found before the cap")
+
+    def test_message_counts_one_region_in_the_singular(self):
+        net = Network([Layer(np.eye(2), np.zeros(2), IDENTITY)])
+        unsafe = single_constraint([1.0, 0.0])
+        # the first box takes two sets and yields one region; the second
+        # box's root is the third set
+        props = [unit_prop(2, unsafe), SafetyProperty("q", [-1.0, -1.0], [0.5, 0.5], unsafe)]
+        with pytest.raises(MaxSetsExceeded) as err:
+            reach_unsafe_all(net, props, ReachOptions(max_sets=2))
+        assert str(err.value) == "exceeded max_sets=2 explored sets; 1 unsafe region found before the cap"
+
+
 class TestSerialEngineCounters:
     """Counters of the depth-first loop on fixed nets, unsafe y0 - y1 <= 0
     over [-1, 1]^d. `calls` back-to-back calls into one ReachStats add up
