@@ -109,8 +109,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs_per_iteration < 1:

@@ -227,13 +227,13 @@ def _provably_safe(net, sets, props):
     return safe.tolist()
 
 
-def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
+def _explore(net, groups, opts, stats, collect_final=False):
     """Explore each (lb, ub, props) group's input box depth-first, one stack
     of tracked sets per box; props is nonempty, and a branch is pruned only
     when provably safe for every property of its group.
 
-    Returns (regions by property name, safe final sets or None, final sets
-    in exploration order or None). Every call follows one policy:
+    Returns (regions by property name, final sets in exploration order or
+    None). Every call follows one policy:
     - opts.max_sets caps the sets explored over all groups. Past it,
       MaxSetsExceeded carries every region found so far (finished groups and
       the partial one) and the call's totals;
@@ -255,7 +255,6 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
     """
     total = ReachStats()
     regions = {}
-    safe_sets = [] if collect_safe else None
     final_sets = [] if collect_final else None
 
     def push(stack, sets, props):
@@ -279,16 +278,12 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
                     raise MaxSetsExceeded(opts.max_sets, regions, total)
                 if s.layer_cursor == net.num_layers:
                     total.final_sets += 1
-                    safe = True
                     for p in props:
                         region = backtrack(s, p.unsafe)
                         if region is not None:
                             total.unsafe_regions += 1
                             if opts.keep_regions:
                                 regions[p.name].append(region)
-                            safe = False
-                    if safe and safe_sets is not None:
-                        safe_sets.append(s)
                     if final_sets is not None:
                         final_sets.append(s)
                     continue
@@ -302,7 +297,7 @@ def _explore(net, groups, opts, stats, collect_final=False, collect_safe=False):
             found.sort(key=_canonical_key)
         if stats is not None:
             stats.merge_from(total)
-    return regions, safe_sets, final_sets
+    return regions, final_sets
 
 
 def _check_dims(net, prop):
@@ -339,7 +334,7 @@ def reach_unsafe(net, prop, opts=None, stats=None):
     return reach_unsafe_all(net, [prop], opts, stats)[prop.name]
 
 
-def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None):
+def reach_unsafe_all(net, properties, opts=None, stats=None):
     """Unsafe regions for several properties, grouping properties that share
     an input box, bit for bit, into one exploration; a branch is pruned only
     when provably safe for every property of its group.
@@ -349,10 +344,7 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     unique. Exploration fits no halfspaces; a caller that tests membership
     fits them once per region with fvim.facet_halfspaces. With
     opts.keep_regions off every list is empty, and stats.unsafe_regions
-    counts the regions over all properties. When a list is
-    passed as safe_collector it receives, once the call finishes, the
-    fully-propagated sets that are safe for all properties of their group;
-    their arrays are never written again, so copy before writing.
+    counts the regions over all properties.
 
     opts.max_sets caps the sets explored by the whole call, across groups.
     On MaxSetsExceeded, exc.stats holds the call's totals, and so does
@@ -363,15 +355,12 @@ def reach_unsafe_all(net, properties, opts=None, stats=None, safe_collector=None
     for p in properties:
         _check_dims(net, p)
         groups.setdefault((p.input_lb.tobytes(), p.input_ub.tobytes()), []).append(p)
-    regions, safe_sets, _ = _explore(
+    regions, _ = _explore(
         net,
         [(g[0].input_lb, g[0].input_ub, g) for g in groups.values()],
         opts or ReachOptions(),
         stats,
-        collect_safe=safe_collector is not None,
     )
-    if safe_collector is not None:
-        safe_collector.extend(safe_sets)
     return regions
 
 
@@ -384,7 +373,7 @@ def exact_final_sets(net, prop, opts=None, stats=None):
     """
     _check_dims(net, prop)
     opts = replace(opts or ReachOptions(), use_filter=False)
-    regions, _, final_sets = _explore(
+    regions, final_sets = _explore(
         net, [(prop.input_lb, prop.input_ub, [prop])], opts, stats, collect_final=True
     )
     return sorted(final_sets, key=lambda s: _vertex_key(s.input_vertices)), regions[prop.name]

@@ -1,5 +1,6 @@
 """Repair loop: verify, extract representative unsafe vertex pairs, correct
-outputs to the nearest safe point, merge into the training data, retrain.
+outputs to the nearest safe point, merge only those corrected pairs into the
+training data, retrain.
 
 The loop terminates when a candidate verifies safe on every property while
 holding the accuracy gate, or when the iteration budget runs out.
@@ -37,9 +38,6 @@ EXHAUSTED = "max-iterations-exhausted"
 # a point is accepted as unsafe when every constraint margin is below this
 CONTRACT_TOL = 1e-9
 
-# safe vertex pairs merged per iteration, as a multiple of corrected pairs
-SAFE_PAIR_RATIO = 4
-
 # uniform input samples behind each iteration's unsafe volume estimate
 VOLUME_SAMPLES = 10_000
 
@@ -70,6 +68,10 @@ class RepairConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon", "accuracy_floor"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError("alpha must be a small positive scalar")
         if self.max_iterations < 1:
@@ -85,11 +87,10 @@ class IterationRecord:
     wall_time_s: float
     # per property: {"unsafe": [polygon, ...]}
     projections: dict | None = None
-    # corrected unsafe pairs and sampled safe pairs merged this iteration, and
-    # the training pool size after the merge; once every property verifies
-    # safe while the accuracy gate fails, the counts are 0 and the pool is flat
+    # corrected unsafe pairs merged this iteration, and the training pool
+    # size after the merge; once every property verifies safe while the
+    # accuracy gate fails, the count is 0 and the pool is flat
     pairs_corrected: int = 0
-    safe_pairs_merged: int = 0
     pool_size: int = 0
 
 
@@ -107,7 +108,6 @@ class RepairReport:
                 "unsafe_volume_ratios": {k: float(v) for k, v in rec.unsafe_volume_ratios.items()},
                 "accuracy": float(rec.accuracy),
                 "pairs_corrected": rec.pairs_corrected,
-                "safe_pairs_merged": rec.safe_pairs_merged,
                 "pool_size": rec.pool_size,
             }
             if rec.projections is not None:
@@ -207,8 +207,10 @@ def repair(net, properties, train_data, test_data, cfg=None):
     """Run the full repair loop; returns (network, report).
 
     Each iteration verifies every property exactly, corrects the unsafe
-    vertex pairs, merges them (plus a capped sample of safe vertex pairs)
-    into the training pool, and retrains the running candidate.
+    vertex pairs, merges them into the training pool, and retrains the
+    running candidate. The corrected pairs come from the exact unsafe
+    regions, which the relaxed filter never changes, so the repaired network
+    does not depend on cfg.reach.use_filter.
     """
     cfg = cfg or RepairConfig()
     if not properties:
@@ -236,11 +238,8 @@ def repair(net, properties, train_data, test_data, cfg=None):
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.monotonic()
-        safe_sets = []
         try:
-            regions = reach_unsafe_all(
-                candidate, properties, cfg.reach, safe_collector=safe_sets
-            )
+            regions = reach_unsafe_all(candidate, properties, cfg.reach)
         except MaxSetsExceeded as exc:
             raise RepairAborted(f"reachability blew past max_sets: {exc}", report) from exc
 
@@ -276,19 +275,8 @@ def repair(net, properties, train_data, test_data, cfg=None):
             for x, y in representative_pairs(regions[p.name]):
                 corrected.append((x, correct(y, p.unsafe, cfg.alpha)))
 
-        safe_pairs = [
-            (x, y) for s in safe_sets for x, y in zip(s.input_vertices, s.current_vertices)
-        ]
-        cap = SAFE_PAIR_RATIO * len(corrected)
-        if len(safe_pairs) > cap:
-            rng = np.random.default_rng(cfg.seed + 7919 * it)
-            keep = rng.choice(len(safe_pairs), size=cap, replace=False)
-            safe_pairs = [safe_pairs[i] for i in sorted(keep)]
-
-        pool.upsert(safe_pairs)
-        pool.upsert(corrected)  # corrected targets win collisions
+        pool.upsert(corrected)
         record.pairs_corrected = len(corrected)
-        record.safe_pairs_merged = len(safe_pairs)
         record.pool_size = len(pool)
         try:
             candidate = train(candidate, pool.dataset(), cfg.train)

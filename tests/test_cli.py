@@ -531,6 +531,29 @@ class TestRepair:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag, value, name", [("--alpha", "nan", "alpha"),
+                                                   ("--epsilon", "nan", "epsilon"),
+                                                   ("--floor", "inf", "accuracy_floor"),
+                                                   ("--lr", "nan", "learning_rate")])
+    def test_non_finite_setting_exits_two(self, fixture_dir, tmp_path, capsys, flag, value, name):
+        # before any training: the message names the setting, not a diverged loss
+        out = tmp_path / "rep.json"
+        code = run(
+            [
+                "repair",
+                "--net", fixture_dir / "toy_unsafe.nnet",
+                "--props", fixture_dir / "toy_props.json",
+                "--train-data", fixture_dir / "toy_train.json",
+                "--test-data", fixture_dir / "toy_test.json",
+                flag, value, "--max-iterations", "5",
+                "--out", out, "--out-net", tmp_path / "fixed.nnet",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite")
+        assert not out.exists()
+
     @pytest.mark.parametrize("net_name, cut", [("toy_unsafe.nnet", ["train"]),
                                                ("toy_safe.nnet", ["train", "test"])])
     def test_one_column_targets_exit_two(self, fixture_dir, tmp_path, capsys, net_name, cut):

@@ -457,6 +457,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, LabeledDataset(np.zeros((0, 2)), np.zeros((0, 2))), TrainConfig())
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        # NaN passes a bare `<= 0` test and inf overflows the first step
+        with pytest.raises(ValueError, match=f"^learning_rate must be finite and positive, got {lr}$"):
+            TrainConfig(learning_rate=lr)
+
 
 class TestAccuracy:
     def test_self_consistent_dataset_scores_one(self):

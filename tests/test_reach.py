@@ -476,29 +476,6 @@ class TestReachUnsafe:
             for ra, rb in zip(together[p.name], solo):
                 assert np.allclose(ra.input_vertices, rb.input_vertices, atol=1e-9)
 
-    def test_safe_collector_covers_safe_sets(self):
-        net = fx.toy_unsafe_network()
-        prop = unit_prop(2, single_constraint([1.0, -1.0]))
-        safe = []
-        regions = reach_unsafe_all(net, [prop], safe_collector=safe)
-        assert regions[prop.name]
-        # the toy net has a single linear region which is partly unsafe,
-        # so no fully safe final set exists
-        assert safe == []
-        # with the filter on, a wholly safe network is pruned at the root and
-        # never reaches a final set; exact exploration does collect it
-        safe_pruned = []
-        reach_unsafe_all(fx.toy_safe_network(), [prop], safe_collector=safe_pruned)
-        assert safe_pruned == []
-        safe_exact = []
-        reach_unsafe_all(
-            fx.toy_safe_network(),
-            [prop],
-            ReachOptions(use_filter=False),
-            safe_collector=safe_exact,
-        )
-        assert len(safe_exact) == 1
-
 
 def forward_cases():
     """Random nets over [-1, 1]^d with two properties sharing the box:
@@ -519,32 +496,21 @@ def forward_cases():
     return cases
 
 
-class TestRegionsAndSafeSetsMatchForwardPass:
-    """Every region and every safe set is a set of network input/output rows,
-    inside the unsafe domain for a region and outside it for a safe set."""
+class TestRegionsMatchForwardPass:
+    """Every region is a set of network input/output rows inside the unsafe
+    domain."""
 
     @pytest.mark.parametrize("use_filter", [True, False])
     @pytest.mark.parametrize("case", range(len(forward_cases())))
     def test_rows_match_forward_pass(self, case, use_filter):
         net, props = forward_cases()[case]
-        safe = []
-        regions = reach_unsafe_all(net, props, ReachOptions(use_filter=use_filter), safe_collector=safe)
-
-        def check_images(s):
-            want = forward_batch(net, s.input_vertices)
-            assert (np.abs(s.current_vertices - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
-
+        regions = reach_unsafe_all(net, props, ReachOptions(use_filter=use_filter))
         for p in props:
             for region in regions[p.name]:
-                check_images(region)
+                want = forward_batch(net, region.input_vertices)
+                assert (np.abs(region.current_vertices - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
                 assert (p.unsafe.margins(region.current_vertices) <= 1e-9).all()
-        for s in safe:
-            check_images(s)
-            for p in props:
-                assert (p.unsafe.margins(s.current_vertices).max(axis=1) >= -1e-9).all()
         assert all(regions.values())
-        if not use_filter:
-            assert safe
 
 
 class TestCountWithoutKeeping:

@@ -8,7 +8,17 @@ import pytest
 
 from relurepair import fixtures as fx
 from relurepair import reach as reach_mod
-from relurepair.model import IDENTITY, RELU, LabeledDataset, Layer, Network, TrainConfig, accuracy
+from relurepair.model import (
+    IDENTITY,
+    RELU,
+    LabeledDataset,
+    Layer,
+    Network,
+    TrainConfig,
+    accuracy,
+    forward_batch,
+    save_nnet,
+)
 from relurepair.reach import (
     ReachOptions,
     SafetyProperty,
@@ -277,18 +287,13 @@ class TestRepair:
         first_safe = next(i for i, r in enumerate(recs) if r.unsafe_region_counts[prop.name] == 0)
         assert 0 < first_safe < len(recs) - 1
         assert recs[0].pairs_corrected > 0
-        assert recs[0].pool_size == len(train_data) + recs[0].pairs_corrected + recs[0].safe_pairs_merged
+        assert recs[0].pool_size == len(train_data) + recs[0].pairs_corrected
         stalled_pool = recs[first_safe - 1].pool_size
         for rec in recs[first_safe:]:
             assert rec.pairs_corrected == 0
-            assert rec.safe_pairs_merged == 0
             assert rec.pool_size == stalled_pool
         entry = report.to_dict(include_timing=False)["iterations"][-1]
-        assert (entry["pairs_corrected"], entry["safe_pairs_merged"], entry["pool_size"]) == (
-            0,
-            0,
-            stalled_pool,
-        )
+        assert (entry["pairs_corrected"], entry["pool_size"]) == (0, stalled_pool)
 
     def test_volume_ratio_recorded_in_unit_interval(self):
         candidate, prop, train_data, test_data = desk_repair_fixture()
@@ -315,6 +320,48 @@ def duplicate_named_properties():
 
 def must_not_run(*args, **kwargs):
     raise AssertionError("repair went past its input checks")
+
+
+class TestRepairIgnoresFilter:
+    def test_filter_on_and_off_repair_identically(self, tmp_path):
+        # the top 5% of y0 - y1 over the box is unsafe; the data are the
+        # network's own outputs on samples below it. Exact exploration reaches
+        # wholly safe final sets that the filter prunes, so a repair that
+        # learned from them would depend on the filter.
+        net = fx.random_network([3, 8, 8, 2], seed=3)
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(1500, 3))
+        ys = forward_batch(net, xs)
+        t = float(np.percentile(ys[:, 0] - ys[:, 1], 95))
+        prop = SafetyProperty("top", -np.ones(3), np.ones(3),
+                              UnsafeDomain([(np.array([-1.0, 1.0]), t)]))
+        below = ys[:, 0] - ys[:, 1] < t
+        xs, ys = xs[below], ys[below]
+        train_data = LabeledDataset(xs[:300], ys[:300])
+        test_data = LabeledDataset(xs[300:500], ys[300:500])
+        out = []
+        for use_filter in (True, False):
+            cfg = RepairConfig(
+                alpha=0.5,
+                epsilon=-0.05,
+                reach=ReachOptions(use_filter=use_filter),
+                train=TrainConfig(learning_rate=0.05, epochs_per_iteration=5),
+            )
+            fixed, report = repair(net, [prop], train_data, test_data, cfg)
+            assert report.verdict == REPAIRED
+            path = tmp_path / f"filter-{use_filter}.nnet"
+            save_nnet(fixed, path)
+            out.append((path.read_bytes(), report.to_dict(include_timing=False)))
+        assert out[0][1]["iterations"][0]["pairs_corrected"] > 0
+        assert out[0] == out[1]
+
+
+class TestRepairConfig:
+    @pytest.mark.parametrize("name", ["alpha", "epsilon", "accuracy_floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_setting_rejected(self, name, value):
+        # NaN passes `alpha <= 0` and makes every accuracy-gate comparison false
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            RepairConfig(**{name: value})
 
 
 class TestRepairInputChecks:
