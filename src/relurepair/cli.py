@@ -64,14 +64,16 @@ def _save_properties(props, path):
 
 
 def _load_dataset(path):
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a dataset is a JSON object with 'inputs' and 'targets'")
     try:
+        with open(path) as f:
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("a dataset is a JSON object with 'inputs' and 'targets'")
         return LabeledDataset(np.asarray(data["inputs"], float), np.asarray(data["targets"], float))
     except KeyError as exc:
         raise ValueError(f"{path}: dataset has no {exc}") from None
+    except ValueError as exc:  # bad JSON too: name the file, not only the column
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _save_dataset(data, path):
@@ -240,7 +242,6 @@ def cmd_repair(args):
         ),
         reach=_reach_options(args),
         projection_axes=args.project,
-        seed=args.seed,
     )
     repaired_net, report = repair(net, props, train_data, test_data, cfg)
     save_nnet(repaired_net, args.out_net)

@@ -95,6 +95,10 @@ class LabeledDataset:
             raise ValueError("inputs and targets must be 2-d arrays")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must pair up row by row")
+        for name in ("inputs", "targets"):
+            finite = np.isfinite(getattr(self, name)).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{name} row {int(np.argmin(finite))} is not finite")
         self.labels = np.argmax(self.targets, axis=1)
 
     def __len__(self):
@@ -135,33 +139,30 @@ def load_nnet(path):
     output_dim, max_layer_size); a layer-sizes line; a symmetric flag;
     input mins, maxes, means, ranges lines; then per layer the weight rows
     (row-major) followed by one bias value per row, all comma-separated.
-    Blank fields are skipped. Anything but comments and blank lines after
-    the last layer is rejected.
+    Blank fields are skipped. Comment and blank lines may sit anywhere, also
+    inside a weight or bias block; anything else after the last layer is
+    rejected.
     """
     with open(path) as f:
         raw = f.readlines()
+    # (line number, text) of each data line; the header is rows[0:7], and
+    # the layer sizes fix the index of every row after it
+    rows = [(i, text) for i, text in enumerate(raw, 1) if not text.startswith("//") and text.strip()]
 
-    lineno = 0
-    n = len(raw)
+    def numbers(i, kind=float):
+        if i >= len(rows):
+            raise NNetFormatError(f"line {len(raw)}: file ended early")
+        lineno, text = rows[i]
+        return lineno, _parse_numbers(text, lineno, kind)
 
-    def next_line():
-        nonlocal lineno
-        while lineno < n:
-            lineno += 1
-            text = raw[lineno - 1]
-            if text.startswith("//") or text.strip() == "":
-                continue
-            return text
-        raise NNetFormatError(f"line {n}: file ended early")
-
-    counts = _parse_numbers(next_line(), lineno, int)
+    lineno, counts = numbers(0, int)
     if len(counts) < 3:
         raise NNetFormatError(f"line {lineno}: header needs at least 3 counts, got {len(counts)}")
     num_layers, input_dim, output_dim = counts[0], counts[1], counts[2]
     if num_layers < 1 or input_dim < 1 or output_dim < 1:
         raise NNetFormatError(f"line {lineno}: non-positive count in header")
 
-    sizes = _parse_numbers(next_line(), lineno, int)
+    lineno, sizes = numbers(1, int)
     if len(sizes) != num_layers + 1:
         raise NNetFormatError(
             f"line {lineno}: expected {num_layers + 1} layer sizes, got {len(sizes)}"
@@ -171,84 +172,72 @@ def load_nnet(path):
     if min(sizes) < 1:
         raise NNetFormatError(f"line {lineno}: layer sizes must be at least 1, got {sizes}")
 
-    next_line()  # symmetric flag, unused
-    header = {}
-    for name, want in (
-        ("mins", input_dim),
-        ("maxes", input_dim),
-        ("means", input_dim + 1),
-        ("ranges", input_dim + 1),
+    header = {}  # rows[2] is the symmetric flag, unused
+    for i, name, want in (
+        (3, "mins", input_dim),
+        (4, "maxes", input_dim),
+        (5, "means", input_dim + 1),
+        (6, "ranges", input_dim + 1),
     ):
-        vals = _parse_numbers(next_line(), lineno)
+        lineno, vals = numbers(i)
         if len(vals) != want:
             raise NNetFormatError(f"line {lineno}: expected {want} {name} values, got {len(vals)}")
         header[name] = vals
 
-    def read_rows(count, width, k, kind):
-        """The next `count` rows of `width` numbers each, as a (count, width) array."""
-        texts, linenos = [], []
-
-        def parse_each():
-            # one row at a time, so the first bad row in the file is reported
-            out = np.empty((len(texts), width))
-            for r, (text, ln) in enumerate(zip(texts, linenos)):
-                vals = _parse_numbers(text, ln)
-                if len(vals) != width:
-                    raise NNetFormatError(
-                        f"line {ln}: layer {k} {kind} row {r} has {len(vals)} values, expected {width}"
-                    )
-                out[r] = vals
-            return out
-
-        for _ in range(count):
-            try:
-                texts.append(next_line())
-            except NNetFormatError:  # the file ended inside this block
-                parse_each()
-                raise
-            linenos.append(lineno)
+    def read_rows(at, count, width, k, kind):
+        """rows[at:at+count], `width` numbers each, as a (count, width) array."""
+        block = rows[at : at + count]
         # numpy's C reader parses the whole block at once. It rejects blank
         # fields mid-row and the spellings only float() accepts ("1_000",
         # non-ASCII digits); those rows, and every malformed one, go through
-        # parse_each. An all-blank row would be skipped, or make loadtxt warn.
-        # Rows are trimmed one at a time and max_rows sizes the array once: a
-        # list of trimmed copies and a growing array left the heap of a long
-        # corridor-deep run 1.5 MB larger.
+        # the per-row loop below. An all-blank row would be skipped, or make
+        # loadtxt warn. Rows are trimmed one at a time and max_rows sizes the
+        # array once: a list of trimmed copies and a growing array left the
+        # heap of a long corridor-deep run 1.5 MB larger.
         trim = ", \t\r\n"
-        if all(text.rstrip(trim) for text in texts):
+        if len(block) == count and all(text.rstrip(trim) for _, text in block):
             try:
-                block = np.loadtxt(
-                    (text.rstrip(trim) for text in texts),
+                out = np.loadtxt(
+                    (text.rstrip(trim) for _, text in block),
                     delimiter=",", comments=None, ndmin=2, max_rows=count,
                 )
             except ValueError:
                 pass
             else:
-                if block.shape == (count, width):
-                    return block, linenos
-        return parse_each(), linenos
+                if out.shape == (count, width):
+                    return out
+        # one row at a time, so the first bad row in the file is reported;
+        # in a block the file ends inside, that comes before the early end
+        out = np.empty((count, width))
+        for r in range(count):
+            lineno, vals = numbers(at + r)
+            if len(vals) != width:
+                raise NNetFormatError(
+                    f"line {lineno}: layer {k} {kind} row {r} has {len(vals)} values, expected {width}"
+                )
+            out[r] = vals
+        return out
 
     layers = []
+    at = 7
     for k in range(num_layers):
-        rows, cols = sizes[k + 1], sizes[k]
-        w, w_lines = read_rows(rows, cols, k, "weight")
-        b, b_lines = read_rows(rows, 1, k, "bias")
-        b = b.ravel()
-        row_lines = w_lines + b_lines  # line of each weight row, then of each bias row
-        # both parsers accept "nan" and "inf"; one check per layer rejects them
+        n, cols = sizes[k + 1], sizes[k]
+        w = read_rows(at, n, cols, k, "weight")
+        b = read_rows(at + n, n, 1, k, "bias").ravel()
+        # both parsers accept "nan" and "inf"; one check per layer rejects
+        # them. Weight row j is rows[at + j] and bias row j is rows[at + n + j]
         finite = np.concatenate([np.isfinite(w).all(axis=1), np.isfinite(b)])
         if not finite.all():
             raise NNetFormatError(
-                f"line {row_lines[int(np.argmin(finite))]}: layer {k} has a non-finite value"
+                f"line {rows[at + int(np.argmin(finite))][0]}: layer {k} has a non-finite value"
             )
         act = IDENTITY if k == num_layers - 1 else RELU
         layers.append(Layer(w, b, act))
+        at += 2 * n
 
-    try:
-        next_line()
-    except NNetFormatError:  # only comments and blank lines follow the last layer
-        return Network(layers, **header)
-    raise NNetFormatError(f"line {lineno}: data after the last layer")
+    if at < len(rows):
+        raise NNetFormatError(f"line {rows[at][0]}: data after the last layer")
+    return Network(layers, **header)
 
 
 def save_nnet(net, path):

@@ -65,7 +65,6 @@ class RepairConfig:
     # output axes (i, j); when set, each iteration records the 2-d projections
     # of its unsafe regions for plotting
     projection_axes: tuple | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("alpha", "epsilon", "accuracy_floor"):
@@ -246,7 +245,7 @@ def repair(net, properties, train_data, test_data, cfg=None):
         acc = accuracy(candidate, test_data)
         counts = {p.name: len(regions[p.name]) for p in properties}
         ratios = {
-            p.name: unsafe_volume_ratio(candidate, p, VOLUME_SAMPLES, seed=cfg.seed + it)
+            p.name: unsafe_volume_ratio(candidate, p, VOLUME_SAMPLES, seed=cfg.train.seed + it)
             for p in properties
         }
         projections = None

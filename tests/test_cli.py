@@ -649,6 +649,50 @@ class TestRepair:
         assert capsys.readouterr().err.strip() == f"error: {train}: {want}"
         assert not out.exists() and not out_net.exists()
 
+    @pytest.mark.parametrize("which, case", [("train", "nan input"), ("test", "inf target"),
+                                             ("train", "1-d inputs"), ("test", "unpaired rows"),
+                                             ("test", "cut json")])
+    def test_bad_dataset_values_name_the_file(self, fixture_dir, tmp_path, capsys, which, case):
+        # each is rejected while loading, before any training, and names the
+        # file: not a diverged loss, a repaired network or a bare JSON column
+        doc = json.loads((fixture_dir / f"toy_{which}.json").read_text())
+        if case == "nan input":
+            doc["inputs"][3][1] = float("nan")
+            want = "inputs row 3 is not finite"
+        elif case == "inf target":
+            doc["targets"][5][0] = float("inf")
+            want = "targets row 5 is not finite"
+        elif case == "1-d inputs":
+            doc["inputs"] = [row[0] for row in doc["inputs"]]
+            want = "inputs and targets must be 2-d arrays"
+        elif case == "unpaired rows":
+            del doc["targets"][-1]
+            want = "inputs and targets must pair up row by row"
+        text = json.dumps(doc)
+        if case == "cut json":
+            text = text[:-1]
+            with pytest.raises(ValueError) as exc:
+                json.loads(text)
+            want = str(exc.value)
+        data = {w: fixture_dir / f"toy_{w}.json" for w in ("train", "test")}
+        data[which] = tmp_path / f"{which}.json"
+        data[which].write_text(text)
+        out, out_net = tmp_path / "rep.json", tmp_path / "fixed.nnet"
+        code = run(
+            [
+                "repair",
+                "--net", fixture_dir / "toy_unsafe.nnet",
+                "--props", fixture_dir / "toy_props.json",
+                "--train-data", data["train"],
+                "--test-data", data["test"],
+                "--lr", "0.05", "--epochs", "5",
+                "--out", out, "--out-net", out_net,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {data[which]}: {want}"
+        assert not out.exists() and not out_net.exists()
+
 
 NO_SCIPY = """
 import json, os, sys

@@ -277,6 +277,8 @@ def test_rewritten_rows_load_as_the_plain_file(tmp_path, variant):
 
 FAULTS = ["token", "short", "long", "non-finite", "truncate"]
 ODD_TOKENS = ["x?", "1_000", "\u0661", "0x10", "1.0.0", "--1", "1e", "nan(1)"]
+# lines the loader skips wherever they sit
+FILLERS = ["// note", "//", "", " ", "\t", " \r"]
 
 
 def random_layers(draw):
@@ -296,9 +298,11 @@ def rewrite(draw, lines):
     """Saved NNet lines with rewritten rows and at most one fault, as text.
 
     Every data row may get a blank field and one of ROW_VARIANTS. The fault
-    is a bad token, a missing or extra field, a non-finite value or a cut;
-    it never adds data after the last layer, which the loader rejects and
-    the reference ignores.
+    is a bad token, a missing or extra field, a non-finite value or a cut,
+    inside a line or at a line boundary; it never adds data after the last
+    layer, which the loader rejects and the reference ignores. Comment and
+    blank lines go in at drawn positions: inside weight and bias blocks,
+    between layers and after the last layer.
     """
     for i, line in enumerate(lines):
         if line.startswith("//"):
@@ -310,10 +314,7 @@ def rewrite(draw, lines):
         line = ",".join(fields)
         lines[i] = ROW_VARIANTS[variant](line) if variant else line
     fault = draw(st.sampled_from([None] + FAULTS))
-    if fault == "truncate":
-        text = "\n".join(lines) + "\n"
-        return text[: draw(st.integers(0, len(text) - 1))]
-    if fault is not None:
+    if fault not in (None, "truncate"):
         # a weight or bias row: the first follows the comment, 3 header lines and 4 vectors
         i = draw(st.integers(8, len(lines) - 1))
         fields = lines[i].split(",")
@@ -328,7 +329,14 @@ def rewrite(draw, lines):
         else:
             fields[j] = draw(st.sampled_from(["nan", "-inf", "1e999", "NaN", "infinity", "-1E+999"]))
         lines[i] = ",".join(fields)
-    return "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(8, len(lines))), draw(st.sampled_from(FILLERS)))
+    if fault == "truncate" and draw(st.booleans()):
+        return "".join(line + "\n" for line in lines[: draw(st.integers(0, len(lines) - 1))])
+    text = "\n".join(lines) + "\n"
+    if fault == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return text
 
 
 def load_outcome(load, path):
@@ -384,6 +392,16 @@ class TestForward:
         net = fx.random_network([3, 2], seed=0)
         with pytest.raises(ValueError):
             forward(net, [1.0, 2.0])
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("name", ["inputs", "targets"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, name, value):
+        arrays = {"inputs": np.zeros((4, 2)), "targets": np.eye(4, 3)}
+        arrays[name][2, 1] = value
+        with pytest.raises(ValueError, match=f"^{name} row 2 is not finite$"):
+            LabeledDataset(**arrays)
 
 
 class TestTrain:
