@@ -36,8 +36,11 @@ from .repair import REPAIRED, RepairConfig, repair
 
 
 def _load_properties(path):
-    with open(path) as f:
-        data = json.load(f)
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except ValueError as exc:  # bad JSON, or bytes that do not decode
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: a property file holds a JSON list of properties")
     if not data:

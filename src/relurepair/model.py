@@ -45,6 +45,15 @@ class Network:
     activation. Normalization constants (means/ranges per input, plus one
     trailing entry for the output) are carried along when loaded from an
     NNet file and written back by `save_nnet`; nothing applies them.
+
+    Construction also works out which neurons are live: every output neuron
+    is, and so is any neuron that a live neuron of the next layer reads with
+    a nonzero weight. live_neurons[k] indexes the live coordinates of the
+    input of layer k (of the output for k = num_layers), as an index array,
+    or slice(None) when all are live. live_layers[k] is layer k cut down to
+    its live neurons and the live inputs they read; a layer that keeps every
+    neuron and reads every input is the layer itself, not a copy. The relaxed
+    filter runs over these: a dead neuron changes no live pre-activation.
     """
 
     def __init__(self, layers, mins=None, maxes=None, means=None, ranges=None):
@@ -67,6 +76,18 @@ class Network:
         self.maxes = None if maxes is None else np.asarray(maxes, float)
         self.means = None if means is None else np.asarray(means, float)
         self.ranges = None if ranges is None else np.asarray(ranges, float)
+        live, live_layers = [slice(None)], []
+        rows = np.arange(self.output_dim)
+        for ly in reversed(self.layers):
+            out_dim, in_dim = ly.weights.shape
+            reads = np.flatnonzero(ly.weights[rows].any(axis=0))
+            if rows.size < out_dim or reads.size < in_dim:
+                ly = Layer(ly.weights[np.ix_(rows, reads)], ly.bias[rows], ly.activation)
+            live_layers.insert(0, ly)
+            live.insert(0, reads if reads.size < in_dim else slice(None))
+            rows = reads
+        self.live_neurons = tuple(live)
+        self.live_layers = tuple(live_layers)
 
     @property
     def num_layers(self):
@@ -143,7 +164,9 @@ def load_nnet(path):
     inside a weight or bias block; anything else after the last layer is
     rejected.
     """
-    with open(path) as f:
+    # a '//' line may hold any bytes; one that does not decode as UTF-8
+    # elsewhere fails as a non-numeric token
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         raw = f.readlines()
     # (line number, text) of each data line; the header is rows[0:7], and
     # the layer sizes fix the index of every row after it

@@ -171,16 +171,24 @@ def output_overapprox(net, sets):
     """Relaxed output sets for the remaining layers of sibling tracked sets,
     one member per set, in one batch. The sets must share their layer
     cursor. A set with more than VZONO_CAP vertices starts from its interval
-    hull."""
+    hull.
+
+    Only live neurons are relaxed (see model.Network): the sets' vertices
+    are taken at the live inputs of the cursor's layer and mapped through
+    net.live_layers. A dead neuron meets a zero weight in every live neuron
+    of the next layer, so dropping it changes no live pre-activation; in the
+    full pass its base vectors vanish by the output layer, where affine_map
+    drops them. The result is the full pass's but for the rounding of sums
+    that skip the zero terms."""
     cursors = {s.layer_cursor for s in sets}
     if len(cursors) != 1:
         raise ValueError(f"sets must share one layer cursor, got {sorted(cursors)}")
-    z = vzono.from_tracked(sets)
+    cursor = cursors.pop()
+    z = vzono.from_tracked(sets, net.live_neurons[cursor])
     big = z.vertex_counts > VZONO_CAP
     if big.any():
         z = vzono.interval_hull(z, big)
-    for k in range(cursors.pop(), net.num_layers):
-        ly = net.layers[k]
+    for ly in net.live_layers[cursor:]:
         z = vzono.affine_map(z, ly.weights, ly.bias)
         if ly.activation != IDENTITY:
             z = vzono.relu_layer(z)

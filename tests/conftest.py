@@ -13,7 +13,8 @@ import pytest
 from relurepair.fvim import ON_PLANE_TOL, TrackedSet
 from relurepair.model import IDENTITY, RELU, Layer, Network, NNetFormatError, forward_batch
 from relurepair import fixtures as fx
-from relurepair.reach import SafetyProperty, UnsafeDomain
+from relurepair import vzono
+from relurepair.reach import VZONO_CAP, SafetyProperty, UnsafeDomain
 from relurepair.vzono import VZono, _normal, _relax_coeffs
 
 
@@ -223,6 +224,25 @@ def acceptance_networks():
 @pytest.fixture(scope="session")
 def acceptance_cases():
     return acceptance_networks()
+
+
+# The relaxed pass as it was before it mapped live neurons only: every
+# neuron of every remaining layer. Kept as the reference for
+# reach.output_overapprox.
+
+
+def full_output_overapprox(net, sets):
+    """Relaxed output sets over every neuron of the remaining layers, dead
+    ones too."""
+    z = vzono.from_tracked(sets)
+    big = z.vertex_counts > VZONO_CAP
+    if big.any():
+        z = vzono.interval_hull(z, big)
+    for ly in net.layers[sets[0].layer_cursor:]:
+        z = vzono.affine_map(z, ly.weights, ly.bias)
+        if ly.activation != IDENTITY:
+            z = vzono.relu_layer(z)
+    return z
 
 
 # The NNet loader as it was before it read each layer block with

@@ -206,6 +206,27 @@ class TestReach:
         assert capsys.readouterr().err.strip() == f"error: {path}: {want}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "reach", "repair", "bench"])
+    @pytest.mark.parametrize("text, want", [
+        ('[{"name": "p1",\n', "Expecting property name enclosed in double quotes: line 2 column 1 (char 16)"),
+        (b'[{"name": "caf\xe9"}]', "'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte"),
+    ], ids=["cut-json", "latin-1"])
+    def test_property_file_that_is_not_json_names_the_file(self, fixture_dir, tmp_path, capsys,
+                                                           command, text, want):
+        path = tmp_path / "props.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out, out_net = tmp_path / "r.json", tmp_path / "fixed.nnet"
+        args = [command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", path, "--out", out]
+        if command == "repair":
+            args += ["--train-data", fixture_dir / "toy_train.json",
+                     "--test-data", fixture_dir / "toy_test.json", "--out-net", out_net]
+        assert run(args) == 2
+        assert capsys.readouterr().err.strip() == f"error: {path}: {want}"
+        assert not out.exists() and not out_net.exists()
+
     def test_non_finite_weight_exits_two(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "toy_unsafe.nnet").read_text().splitlines()
         lines[8] = "nan," + lines[8].split(",", 1)[1]  # first weight row

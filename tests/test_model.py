@@ -97,6 +97,30 @@ class TestLoadNNet:
         with pytest.raises(NNetFormatError, match="line 5"):
             load_nnet(p)
 
+    @pytest.mark.parametrize("comment", [b"// caf\xe9\n", b"// \xff\xfe\x80\n", "// café\n".encode()],
+                             ids=["latin-1", "invalid-utf-8", "utf-8"])
+    def test_comment_may_hold_any_bytes(self, tmp_path, comment):
+        p = tmp_path / "net.nnet"
+        net = fx.random_network([2, 3, 2], seed=0)
+        save_nnet(net, p)
+        lines = p.read_bytes().splitlines(keepends=True)
+        p.write_bytes(comment + b"".join(lines[:9]) + comment + b"".join(lines[9:]))
+        loaded = load_nnet(p)
+        for got, want in zip(loaded.layers, net.layers):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+
+    @pytest.mark.parametrize("lineno", [2, 9, 10, 13])
+    def test_undecodable_byte_in_a_data_line_is_a_non_numeric_token(self, tmp_path, lineno):
+        # the counts line, two weight rows of layer 0 and a bias row
+        p = tmp_path / "bad.nnet"
+        save_nnet(fx.random_network([2, 3, 2], seed=0), p)
+        lines = p.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1][:3] + b"\xe9" + lines[lineno - 1][3:]
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(NNetFormatError, match=f"^line {lineno}: non-numeric token in '.*\\\\udce9"):
+            load_nnet(p)
+
     def test_weight_row_length_mismatch(self, tmp_path):
         p = tmp_path / "bad.nnet"
         write_nnet(p, [2, 2], [np.eye(2)], [np.zeros(2)])
@@ -366,6 +390,38 @@ def test_block_reader_matches_the_per_row_reference(tmp_path_factory, data):
         warnings.simplefilter("error")
         got = load_outcome(load_nnet, p)
     assert got == want
+
+
+class TestLiveNeurons:
+    def test_dense_net_keeps_its_own_layers(self):
+        net = fx.random_network([3, 5, 4, 2], seed=9)
+        assert all(live is ly for live, ly in zip(net.live_layers, net.layers))
+        assert all(live.weights is ly.weights and live.bias is ly.bias
+                   for live, ly in zip(net.live_layers, net.layers))
+        assert net.live_neurons == (slice(None),) * (net.num_layers + 1)
+
+    def test_cuts_dead_neurons_and_unread_inputs(self):
+        # neuron 1 of layer 1 feeds nothing; neuron 1 of layer 0 feeds only
+        # it, and only that neuron reads input 1; output neuron 0 reads nothing
+        w0 = np.array([[1.0, 0.0], [2.0, 3.0], [-1.0, 0.0]])
+        w1 = np.array([[4.0, 0.0, 0.0], [0.0, 5.0, 0.0], [6.0, 0.0, 7.0]])
+        w2 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+        net = Network([Layer(w0, np.arange(3.0)), Layer(w1, np.arange(3.0)),
+                       Layer(w2, np.arange(2.0), IDENTITY)])
+        assert [np.asarray(n).tolist() for n in net.live_neurons[:3]] == [[0], [0, 2], [0, 2]]
+        assert net.live_neurons[3] == slice(None)
+        want = [(w0[[0, 2]][:, [0]], [0.0, 2.0]), (w1[np.ix_([0, 2], [0, 2])], [0.0, 2.0]),
+                (w2[:, [0, 2]], [0.0, 1.0])]
+        for ly, full, (w, b) in zip(net.live_layers, net.layers, want):
+            assert ly.weights.tolist() == w.tolist() and ly.bias.tolist() == b
+            assert ly.activation == full.activation
+
+    def test_layer_without_live_neurons(self):
+        net = Network([Layer(np.ones((2, 2)), np.ones(2)), Layer(np.zeros((1, 2)), np.ones(1), IDENTITY)])
+        assert [np.asarray(n).size for n in net.live_neurons[:2]] == [0, 0]
+        assert net.live_layers[0].weights.shape == (0, 0)
+        assert net.live_layers[1].weights.shape == (1, 0)
+        assert net.live_layers[1].bias.tolist() == [1.0]
 
 
 class TestForward:

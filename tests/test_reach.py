@@ -39,7 +39,7 @@ from relurepair.reach import (
 )
 from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
 
-from conftest import contains, fit_affine, forward, region_points, support
+from conftest import contains, fit_affine, forward, full_output_overapprox, region_points, support
 from test_repair import desk_repair_fixture
 
 
@@ -269,6 +269,97 @@ class TestOutputOverapproxBatch:
             output_overapprox(net, [s, child])
         with pytest.raises(ValueError):
             output_overapprox(net, [])
+
+
+# Weights of 0 or +-2^k make every product exact, and with at most two
+# nonzero weights per row each pre-activation is one rounding of exact terms
+# whatever their order, so a matrix product that skips the zero terms, or
+# sums in another order, rounds it alike.
+POWERS_OF_TWO = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def sparse_layer(draw, fan_in, width, activation):
+    w = np.zeros((width, fan_in))
+    for r in range(width):
+        cols = draw(st.lists(st.integers(0, fan_in - 1), min_size=1, max_size=2, unique=True))
+        w[r, cols] = draw(st.lists(st.sampled_from(POWERS_OF_TWO), min_size=len(cols),
+                                   max_size=len(cols)))
+    b = draw(st.lists(st.integers(-4, 4), min_size=width, max_size=width))
+    return Layer(w, np.array(b) * 0.25, activation)
+
+
+@st.composite
+def nets_with_dead_neurons(draw):
+    """Nets whose neurons a row reads or not at random, so some feed nothing;
+    maybe with input 0 unread, and maybe with a hidden layer whose every
+    outgoing weight is zero, which leaves it and the layers before it with
+    no live neuron."""
+    sizes = ([draw(st.integers(1, 3))] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+             + [draw(st.integers(1, 2))])
+    layers = [draw(sparse_layer(sizes[k], sizes[k + 1], RELU if k + 2 < len(sizes) else IDENTITY))
+              for k in range(len(sizes) - 1)]
+    if draw(st.booleans()):
+        layers[0].weights[:, 0] = 0.0
+    if draw(st.integers(0, 3)) == 3:
+        layers[draw(st.integers(1, len(layers) - 1))].weights[:] = 0.0
+    return Network(layers)
+
+
+class TestRestrictedOverapprox:
+    """output_overapprox relaxes live neurons only, and gives what relaxing
+    every neuron gives, but for all-zero base vectors."""
+
+    @staticmethod
+    def assert_same_relaxation(got, want):
+        assert got.base_vertices.shape == want.base_vertices.shape
+        assert got.base_vertices.tobytes() == want.base_vertices.tobytes()
+        assert got.vertex_counts.tolist() == want.vertex_counts.tolist()
+        for j in range(want.num_members):
+            g, w = batch_member(got, j)[1], batch_member(want, j)[1]
+            assert np.array_equal(g[g.any(axis=1)], w[w.any(axis=1)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(net=nets_with_dead_neurons(), data=st.data())
+    def test_matches_the_pass_over_every_neuron(self, net, data):
+        cons = [(np.array(data.draw(st.lists(st.sampled_from(POWERS_OF_TWO), min_size=net.output_dim,
+                                             max_size=net.output_dim))),
+                 data.draw(st.integers(-4, 4)) * 0.25)
+                for _ in range(data.draw(st.integers(1, 2)))]
+        unsafe = UnsafeDomain(cons)
+        # the siblings of one expansion per layer, down the first child
+        sets = [box_polytope(-np.ones(net.input_dim), np.ones(net.input_dim))]
+        by_cursor = {0: sets}
+        for cursor in range(1, net.num_layers + 1):
+            sets = layer_output(net, sets[0])
+            by_cursor[cursor] = sets
+        for cursor in sorted({0, net.num_layers // 2, net.num_layers}):
+            got = output_overapprox(net, by_cursor[cursor])
+            want = full_output_overapprox(net, by_cursor[cursor])
+            self.assert_same_relaxation(got, want)
+            assert (vzono.is_provably_safe(got, unsafe).tolist()
+                    == vzono.is_provably_safe(want, unsafe).tolist())
+
+    def test_bench_net_relaxes_the_carry_and_the_gate_only(self, monkeypatch):
+        # every hidden neuron reads the carry neuron 0 of the layer before,
+        # and the output reads the carry and the last, gating, neuron
+        net = fx.bench_network(depth=6)
+        live = [np.asarray(n).tolist() for n in net.live_neurons[:-1]]
+        assert live == [[0]] * 6 + [[0, net.layers[-1].weights.shape[1] - 1]]
+        assert net.live_neurons[-1] == slice(None)
+        relax, calls = reach_mod.output_overapprox, []
+
+        def checked(net, sets):
+            got = relax(net, sets)
+            self.assert_same_relaxation(got, full_output_overapprox(net, sets))
+            calls.append(got.num_base_vectors)
+            return got
+
+        monkeypatch.setattr(reach_mod, "output_overapprox", checked)
+        stats = ReachStats()
+        reach_unsafe(net, fx.bench_property(), ReachOptions(), stats)
+        assert stats.pruned_sets > 0 and len(calls) > 1
+        assert max(calls) <= 2
 
 
 class TestOneFilterCallPerExpansion:
