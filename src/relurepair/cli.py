@@ -141,13 +141,6 @@ def _write(f, chunks):
     f.write("\n")
 
 
-def _reach_options(args):
-    return ReachOptions(
-        use_filter=args.filter == "on",
-        max_sets=args.max_sets,
-    )
-
-
 def _timed_reach(net, prop, opts, args):
     """reach_unsafe on one property, counting its unsafe regions without
     keeping them; returns a row of its counters plus, unless --no-timing,
@@ -169,7 +162,7 @@ def _timed_reach(net, prop, opts, args):
 def cmd_verify(args):
     net = load_nnet(args.net)
     props = _load_properties(args.props)
-    ropts = _reach_options(args)
+    ropts = ReachOptions(max_sets=args.max_sets)
     results = []
     any_unsafe = False
     for prop in props:
@@ -243,7 +236,7 @@ def cmd_repair(args):
             epochs_per_iteration=args.epochs,
             seed=args.seed,
         ),
-        reach=_reach_options(args),
+        max_sets=args.max_sets,
         projection_axes=args.project,
     )
     repaired_net, report = repair(net, props, train_data, test_data, cfg)
@@ -337,15 +330,11 @@ def build_parser():
         sp.add_argument("--max-sets", type=int, default=10**6)
         sp.add_argument("--out", help="output JSON path (default stdout)")
 
-    def add_filter(sp):
-        sp.add_argument("--filter", choices=["on", "off"], default="on")
-
     def add_no_timing(sp):
         sp.add_argument("--no-timing", action="store_true", help="omit wall times")
 
     sp = sub.add_parser("verify", help="check each property; exit 1 on any violation")
     add_common(sp)
-    add_filter(sp)
     add_no_timing(sp)
 
     sp = sub.add_parser("reach", help="dump exact reachable sets and unsafe regions")
@@ -355,7 +344,6 @@ def build_parser():
 
     sp = sub.add_parser("repair", help="retrain until all properties verify safe")
     add_common(sp)
-    add_filter(sp)
     add_no_timing(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--train-data", required=True, help="training data JSON")

@@ -114,6 +114,14 @@ def bench_network(depth=6):
     2^depth intervals, while only the topmost sliver of the box can reach the
     unsafe side. Branches become provably safe one layer after they split,
     so filtered search walks a single corridor of the tree.
+
+    Each layer reads only the carry neuron of the one before, and the output
+    reads the carry and the 0.9 gate, so every splitting neuron but the gate
+    feeds no output: every exact split but the gate's is one the function
+    does not need. The pruning this net shows is pruning of those splits.
+    Explored over its live neurons only, depth 7 visits 10 sets filtered
+    against 11 unfiltered (91%), where over every neuron it visits 26
+    against 385.
     """
     layers = []
     for k in range(1, depth + 1):

@@ -20,7 +20,11 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Layer:
-    """One affine layer: y = W x + b followed by an elementwise activation."""
+    """One affine layer: y = W x + b followed by an elementwise activation.
+
+    The weight and bias arrays given are made read-only, so a Network's
+    live layers (see Network) cannot fall out of step with its layers.
+    """
 
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
@@ -36,6 +40,8 @@ class Layer:
                 f"bias length {self.bias.shape[0]} does not match "
                 f"weight rows {self.weights.shape[0]}"
             )
+        self.weights.setflags(write=False)
+        self.bias.setflags(write=False)
 
 
 class Network:

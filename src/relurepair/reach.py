@@ -50,9 +50,8 @@ class UnsafeDomain:
             raise ValueError("unsafe domain must be nonempty")
         object.__setattr__(self, "constraints", tuple(cons))
         # stacked once here for vzono.is_provably_safe, which runs per set
-        normals, offsets = vzono.stack_constraints(cons, cons[0][0].size)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "normals", np.column_stack([a for a, _ in cons]))
+        object.__setattr__(self, "offsets", np.array([b for _, b in cons]))
 
     def margins(self, ys):
         """(n_points, n_constraints) matrix of alpha . y + beta values."""
@@ -88,8 +87,11 @@ class SafetyProperty:
 class ReachOptions:
     """Exploration settings.
 
-    max_sets caps the sets one call explores, over all its input boxes. The
-    relaxed filter's base-vertex cap is the module constant VZONO_CAP.
+    use_filter=False explores without the relaxed filter, as bench's
+    unfiltered run and exact_final_sets do; the filter prunes only subtrees
+    that hold no unsafe region, so it changes speed and counters, never the
+    regions. Its base-vertex cap is the module constant VZONO_CAP. max_sets
+    caps the sets one call explores, over all its input boxes.
     With keep_regions=False the unsafe regions are counted in
     ReachStats.unsafe_regions and dropped as they are found, so the result
     maps every property name to an empty list and memory is bounded by the

@@ -53,6 +53,11 @@ class RepairAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class RepairConfig:
+    """Settings of the repair loop. Each iteration's exploration always runs
+    the relaxed filter, which never changes the unsafe regions, and keeps
+    the regions it finds; max_sets caps the sets it explores, over all
+    properties."""
+
     # boundary push factor of the output correction
     alpha: float = 0.02
     # required accuracy delta against the original network
@@ -61,7 +66,7 @@ class RepairConfig:
     accuracy_floor: float | None = None
     max_iterations: int = 50
     train: TrainConfig = field(default_factory=TrainConfig)
-    reach: ReachOptions = field(default_factory=ReachOptions)
+    max_sets: int = 10**6
     # output axes (i, j); when set, each iteration records the 2-d projections
     # of its unsafe regions for plotting
     projection_axes: tuple | None = None
@@ -75,6 +80,8 @@ class RepairConfig:
             raise ValueError("alpha must be a small positive scalar")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.max_sets < 1:
+            raise ValueError("max_sets must be at least 1")
 
 
 @dataclass
@@ -207,9 +214,9 @@ def repair(net, properties, train_data, test_data, cfg=None):
 
     Each iteration verifies every property exactly, corrects the unsafe
     vertex pairs, merges them into the training pool, and retrains the
-    running candidate. The corrected pairs come from the exact unsafe
-    regions, which the relaxed filter never changes, so the repaired network
-    does not depend on cfg.reach.use_filter.
+    running candidate. Each exploration prunes with the relaxed filter,
+    which drops only subtrees that hold no unsafe region, so the corrected
+    pairs are those of the exact unsafe regions.
     """
     cfg = cfg or RepairConfig()
     if not properties:
@@ -234,11 +241,12 @@ def repair(net, properties, train_data, test_data, cfg=None):
     candidate = net
     pool = _TrainingPool(train_data)
     report = RepairReport(verdict=EXHAUSTED)
+    reach_opts = ReachOptions(max_sets=cfg.max_sets)
 
     for it in range(1, cfg.max_iterations + 1):
         t0 = time.monotonic()
         try:
-            regions = reach_unsafe_all(candidate, properties, cfg.reach)
+            regions = reach_unsafe_all(candidate, properties, reach_opts)
         except MaxSetsExceeded as exc:
             raise RepairAborted(f"reachability blew past max_sets: {exc}", report) from exc
 

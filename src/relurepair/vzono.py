@@ -197,42 +197,20 @@ def relu_layer(z):
     return VZono(c, out, vc, sc + fresh)
 
 
-def _normal(alpha, dim):
-    alpha = np.asarray(alpha, float)
-    if alpha.shape != (dim,):
-        raise ValueError(f"alpha has shape {alpha.shape}, expected ({dim},)")
-    return alpha
-
-
-def stack_constraints(constraints, dim):
-    """The k constraints (alpha, beta) as a (dim, k) matrix with the normals
-    as columns and the (k,) offsets. Every normal must have shape (dim,)."""
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("empty conjunction would mark the whole space unsafe")
-    normals = np.empty((dim, len(constraints)))
-    offsets = np.empty(len(constraints))
-    for k, (a, b) in enumerate(constraints):
-        normals[:, k] = _normal(a, dim)
-        offsets[k] = b
-    return normals, offsets
-
-
 def is_provably_safe(z, unsafe):
-    """Per member, True iff it provably misses the unsafe domain (a
-    conjunction of halfspaces alpha . y + beta <= 0): some constraint is
-    violated everywhere on it, that is, alpha . y + beta has a positive
-    minimum over the member. Returns a (k,) bool array. All constraints are
-    minimised at once against the stacked normals, which an UnsafeDomain
-    holds from its construction; a plain list of (alpha, beta) pairs is
-    stacked here.
+    """Per member, True iff it provably misses the unsafe domain, a
+    reach.UnsafeDomain (a conjunction of halfspaces alpha . y + beta <= 0):
+    some constraint is violated everywhere on it, that is, alpha . y + beta
+    has a positive minimum over the member. Returns a (k,) bool array. All
+    constraints are minimised at once against the domain's stacked normals
+    (dim, k) and offsets (k,); normals of another dimension than the set's
+    raise ValueError.
 
     False means "possibly unsafe" and exact exploration must go on.
     """
-    if hasattr(unsafe, "normals") and unsafe.normals.shape[0] == z.dim:
-        normals, offsets = unsafe.normals, unsafe.offsets
-    else:  # stacking a domain of another dimension raises the shape error
-        normals, offsets = stack_constraints(getattr(unsafe, "constraints", unsafe), z.dim)
+    normals, offsets = unsafe.normals, unsafe.offsets
+    if normals.shape[0] != z.dim:
+        raise ValueError(f"unsafe normal has length {normals.shape[0]}, set is {z.dim}-dimensional")
     # Rounding is monotone, so adding the offsets after the minimum gives the
     # bits of adding them per vertex. A member without base vectors has
     # radius 0, and subtracting 0 changes no bit.

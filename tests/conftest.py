@@ -15,7 +15,7 @@ from relurepair.model import IDENTITY, RELU, Layer, Network, NNetFormatError, fo
 from relurepair import fixtures as fx
 from relurepair import vzono
 from relurepair.reach import VZONO_CAP, SafetyProperty, UnsafeDomain
-from relurepair.vzono import VZono, _normal, _relax_coeffs
+from relurepair.vzono import VZono, _relax_coeffs
 
 
 def triangle_tracked(vertices):
@@ -120,7 +120,9 @@ def constraint_min(z, alpha, beta):
     one-member set."""
     if z.num_members != 1:
         raise ValueError(f"constraint_min takes one set, got a batch of {z.num_members}")
-    alpha = _normal(alpha, z.dim)
+    alpha = np.asarray(alpha, float)
+    if alpha.shape != (z.dim,):
+        raise ValueError(f"unsafe normal has length {alpha.size}, set is {z.dim}-dimensional")
     base = z.base_vertices @ alpha + beta
     radius = float(np.abs(z.base_vectors @ alpha).sum()) if z.num_base_vectors else 0.0
     return float(base.min()) - radius
@@ -224,6 +226,62 @@ def acceptance_networks():
 @pytest.fixture(scope="session")
 def acceptance_cases():
     return acceptance_networks()
+
+
+def check_exact_regions(net, prop, samples=4000, seed=0, tol=1e-7):
+    """Exactness harness for one property: the unsafe regions are exactly
+    {x in box : f(x) unsafe}. Checks, failing an assert otherwise, that
+
+    - filter on and filter off give the same regions, bit for bit;
+    - each region's input vertices lie in the box and map onto its current
+      vertices, which lie in the unsafe domain;
+    - the summed qhull volume of the regions (a lower-dimensional one adds
+      0), as a share of the box, is within 5 binomial sigma of the unsafe
+      share of fixed-seed uniform samples (the regions are
+      interior-disjoint, so this catches missing pieces and overlaps alike);
+    - every unsafe sample lies in the hull of some full-dimensional
+      region's input vertices, and every sample in such a hull is unsafe,
+      both within tol. The hull is qhull's, not fvim.facet_halfspaces',
+      which fits a wrong halfspace to an incidence row that spans less than
+      a facet.
+
+    Returns the regions."""
+    from scipy.spatial import ConvexHull
+
+    from relurepair.reach import ReachOptions, reach_unsafe
+
+    on = reach_unsafe(net, prop, ReachOptions(use_filter=True))
+    off = reach_unsafe(net, prop, ReachOptions(use_filter=False))
+    assert len(on) == len(off)
+    for a, b in zip(on, off):  # both canonically sorted
+        for x, y in ((a.input_vertices, b.input_vertices), (a.current_vertices, b.current_vertices)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    lb, ub = prop.input_lb, prop.input_ub
+    d = lb.size
+    volume, halfspaces = 0.0, []
+    for r in on:
+        x = r.input_vertices
+        assert (x >= lb - tol).all() and (x <= ub + tol).all()
+        assert np.allclose(forward_batch(net, x), r.current_vertices, atol=tol)
+        assert (prop.unsafe.margins(r.current_vertices) <= tol).all()
+        if np.linalg.matrix_rank(x - x.mean(axis=0), tol=1e-9) == d:
+            hull = ConvexHull(x)
+            volume += hull.volume
+            halfspaces.append((hull.equations[:, :-1], hull.equations[:, -1]))
+    share = volume / float(np.prod(ub - lb))
+
+    xs = np.random.default_rng(seed).uniform(lb, ub, size=(samples, d))
+    margins = prop.unsafe.margins(forward_batch(net, xs)).max(axis=1)
+    unsafe = margins <= 0.0
+    sigma = np.sqrt(max(share * (1.0 - share), 1.0 / samples) / samples)
+    assert abs(unsafe.mean() - share) <= 5.0 * sigma, (unsafe.mean(), share)
+    inside = np.zeros(samples, bool)
+    for hs in halfspaces:
+        inside |= contains(hs, xs, tol=tol)
+    assert not (unsafe & ~inside).any(), "an unsafe sample lies in no region"
+    assert (margins[inside] <= 1e-6).all(), "a sample in a region is safe"
+    return on
 
 
 # The relaxed pass as it was before it mapped live neurons only: every

@@ -40,9 +40,9 @@ def run(args):
 
 IO_FLAGS = ["--net", "--props", "--max-sets", "--out"]
 FLAGS = {
-    "verify": IO_FLAGS + ["--filter", "--no-timing"],
+    "verify": IO_FLAGS + ["--no-timing"],
     "reach": IO_FLAGS + ["--project", "--dump-sets"],
-    "repair": IO_FLAGS + ["--filter", "--no-timing", "--seed", "--train-data", "--test-data",
+    "repair": IO_FLAGS + ["--no-timing", "--seed", "--train-data", "--test-data",
                           "--project", "--out-net", "--alpha", "--epsilon", "--floor",
                           "--max-iterations", "--lr", "--batch-size", "--epochs"],
     "bench": IO_FLAGS + ["--no-timing"],
@@ -55,6 +55,21 @@ def test_each_subcommand_registers_only_flags_it_reads(command):
     subparsers = next(a for a in build_parser()._actions if a.choices and command in a.choices)
     got = [a.option_strings[0] for a in subparsers.choices[command]._actions if a.dest != "help"]
     assert got == FLAGS[command]
+
+
+@pytest.mark.parametrize("command, value", [("verify", "on"), ("repair", "off")])
+def test_filter_flag_exits_two(fixture_dir, tmp_path, capsys, command, value):
+    # verify and repair always filter; bench runs the filter on and off
+    args = [command, "--net", fixture_dir / "toy_unsafe.nnet", "--props", fixture_dir / "toy_props.json",
+            "--out", tmp_path / "out.json", "--filter", value]
+    if command == "repair":
+        args += ["--train-data", fixture_dir / "toy_train.json", "--test-data", fixture_dir / "toy_test.json",
+                 "--out-net", tmp_path / "fixed.nnet"]
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --filter {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestVerify:
@@ -128,7 +143,8 @@ class TestReach:
         assert capsys.readouterr().err.strip() == want
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["verify"], ["verify", "--filter", "off"], ["reach"]])
+    # bench explores with the filter on and off, reach with it off
+    @pytest.mark.parametrize("command", [["verify"], ["bench"], ["reach"]])
     def test_unsafe_normal_of_wrong_length_exits_two(self, fixture_dir, tmp_path, capsys, command):
         props = json.loads((fixture_dir / "toy_props.json").read_text())
         props[0]["unsafe"][0]["a"].append(0.5)
@@ -788,9 +804,10 @@ def many_regions(tmp_path_factory):
     return net, props
 
 
-def keeping_path_documents(net_path, props_path, use_filter):
+def keeping_path_documents(net_path, props_path):
     """The --no-timing `verify` and `bench` outputs, built from the regions
-    that reach_unsafe keeps: region_count is their number."""
+    that reach_unsafe keeps: region_count is their number. verify always
+    filters; bench explores with the filter on and off."""
     net = load_nnet(str(net_path))
     props = _load_properties(str(props_path))
 
@@ -802,7 +819,7 @@ def keeping_path_documents(net_path, props_path, use_filter):
 
     results = []
     for prop in props:
-        row = counts(prop, use_filter)
+        row = counts(prop, True)
         results.append({"property": prop.name, "verdict": "unsafe" if row["region_count"] else "safe",
                         **row})
     rows = [{"property": p.name, "filtered": counts(p, True), "unfiltered": counts(p, False)}
@@ -829,20 +846,21 @@ class TestCountedRegions:
             return many_regions
         return tuple(fixture_dir / name for name in self.FIXTURES[case])
 
+    # the filtered exploration is verify's; bench also runs the unfiltered one
     @pytest.mark.parametrize("use_filter", [True, False])
     @pytest.mark.parametrize("case", range(len(FIXTURES) + 1))
     def test_no_timing_output_equals_the_keeping_path(self, fixture_dir, many_regions, tmp_path,
                                                       case, use_filter):
         net, props = self._paths(fixture_dir, many_regions, case)
-        want_verify, want_bench = keeping_path_documents(net, props, use_filter)
-        common = ["--net", net, "--props", props, "--no-timing"]
-        v, b = tmp_path / "v.json", tmp_path / "b.json"
-        code = run(["verify", *common, "--filter", "on" if use_filter else "off", "--out", v])
-        assert code == (1 if '"verdict":"unsafe"' in want_verify else 0)
-        assert v.read_text() == want_verify
-        if use_filter:  # bench runs both
-            assert run(["bench", *common, "--out", b]) == 0
-            assert b.read_text() == want_bench
+        want_verify, want_bench = keeping_path_documents(net, props)
+        common = ["--net", net, "--props", props, "--no-timing", "--out", tmp_path / "out.json"]
+        if use_filter:
+            code = run(["verify", *common])
+            assert code == (1 if '"verdict":"unsafe"' in want_verify else 0)
+            assert (tmp_path / "out.json").read_text() == want_verify
+        else:
+            assert run(["bench", *common]) == 0
+            assert (tmp_path / "out.json").read_text() == want_bench
 
     def test_verify_peak_memory_below_the_regions_it_counts(self, many_regions, tmp_path):
         # keeping them, verify held every region's arrays; counting them, its

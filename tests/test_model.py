@@ -1,6 +1,7 @@
 """Network model: NNet parsing, evaluation, training, accuracy."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,8 +75,11 @@ class TestLoadNNet:
     def test_controller_scale_fixture_round_trip(self, tmp_path):
         net = fx.random_network([5] + [50] * 6 + [5], seed=3)
         # signed zero, subnormal and extreme magnitudes keep their bits too
-        net.layers[0].weights[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-7]
-        net.layers[1].bias[3] = -0.0
+        w0, b1 = net.layers[0].weights.copy(), net.layers[1].bias.copy()
+        w0[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-7]
+        b1[3] = -0.0
+        net = net.with_layers([replace(net.layers[0], weights=w0), replace(net.layers[1], bias=b1),
+                               *net.layers[2:]])
         p = tmp_path / "controller.nnet"
         save_nnet(net, p)
         loaded = load_nnet(p)
@@ -415,6 +419,23 @@ class TestLiveNeurons:
         for ly, full, (w, b) in zip(net.live_layers, net.layers, want):
             assert ly.weights.tolist() == w.tolist() and ly.bias.tolist() == b
             assert ly.activation == full.activation
+
+    def test_layer_arrays_are_read_only(self):
+        # the output reads hidden neuron 0 only, so live_layers[1] is a cut
+        # copy of layer 1; an in-place edit of layer 1 would leave the relaxed
+        # filter on the old weights, and it could prune a set that the edited
+        # net maps into the unsafe domain
+        w0, b0 = np.eye(2), np.zeros(2)
+        w1, b1 = np.array([[1.0, 0.0]]), np.array([-0.25])
+        net = Network([Layer(w0, b0), Layer(w1, b1, IDENTITY)])
+        assert net.live_layers[1].weights.shape == (1, 1)
+        for ly in net.layers + net.live_layers:
+            for a in (ly.weights, ly.bias):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            w1[0, 1] = 5.0  # the caller's array is the layer's
+        assert w1.tolist() == [[1.0, 0.0]]
 
     def test_layer_without_live_neurons(self):
         net = Network([Layer(np.ones((2, 2)), np.ones(2)), Layer(np.zeros((1, 2)), np.ones(1), IDENTITY)])

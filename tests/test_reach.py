@@ -39,7 +39,15 @@ from relurepair.reach import (
 )
 from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
 
-from conftest import contains, fit_affine, forward, full_output_overapprox, region_points, support
+from conftest import (
+    check_exact_regions,
+    contains,
+    fit_affine,
+    forward,
+    full_output_overapprox,
+    region_points,
+    support,
+)
 from test_repair import desk_repair_fixture
 
 
@@ -300,9 +308,12 @@ def nets_with_dead_neurons(draw):
     layers = [draw(sparse_layer(sizes[k], sizes[k + 1], RELU if k + 2 < len(sizes) else IDENTITY))
               for k in range(len(sizes) - 1)]
     if draw(st.booleans()):
-        layers[0].weights[:, 0] = 0.0
+        w = layers[0].weights.copy()
+        w[:, 0] = 0.0
+        layers[0] = replace(layers[0], weights=w)
     if draw(st.integers(0, 3)) == 3:
-        layers[draw(st.integers(1, len(layers) - 1))].weights[:] = 0.0
+        k = draw(st.integers(1, len(layers) - 1))
+        layers[k] = replace(layers[k], weights=np.zeros_like(layers[k].weights))
     return Network(layers)
 
 
@@ -1016,3 +1027,49 @@ class TestExactOutputDomain:
             combo_out = w @ s.current_vertices
             for x, y in zip(combo_in, combo_out):
                 assert np.allclose(forward(net, x), y, atol=1e-9)
+
+
+SMALL_INTS = st.integers(-2, 2)
+
+
+@st.composite
+def degenerate_nets(draw):
+    """A net in d = 2 to 4 with weights and biases in {-2, ..., 2}, so its
+    hyperplanes meet box vertices and each other, over [-1, 1]^d, with one
+    or two unsafe constraints of such normals and offsets. A hidden layer
+    may hold duplicate neurons (a copied row and bias), zero neurons (a zero
+    row: constant, or dead when the bias is not positive) and dead-end
+    neurons (a zero outgoing column)."""
+    d = draw(st.integers(2, 4))
+    sizes = [d] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [draw(st.integers(1, 2))]
+    ws, bs = [], []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        ws.append(np.array(draw(st.lists(st.lists(SMALL_INTS, min_size=n_in, max_size=n_in),
+                                         min_size=n_out, max_size=n_out)), float))
+        bs.append(np.array(draw(st.lists(SMALL_INTS, min_size=n_out, max_size=n_out)), float))
+    for k in range(len(ws) - 1):
+        n = ws[k].shape[0]
+        for kind in draw(st.lists(st.sampled_from(["duplicate", "zero", "dead-end"]), max_size=2)):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if kind == "duplicate":
+                ws[k][i], bs[k][i] = ws[k][j], bs[k][j]
+            elif kind == "zero":
+                ws[k][i] = 0.0
+            else:
+                ws[k + 1][:, i] = 0.0
+    acts = [RELU] * (len(ws) - 1) + [IDENTITY]
+    net = Network([Layer(w, b, act) for w, b, act in zip(ws, bs, acts)])
+    normal = st.lists(SMALL_INTS, min_size=sizes[-1], max_size=sizes[-1]).filter(any)
+    cons = draw(st.lists(st.tuples(normal, SMALL_INTS), min_size=1, max_size=2))
+    unsafe = UnsafeDomain([(np.array(a, float), float(b)) for a, b in cons])
+    return net, SafetyProperty("p", -np.ones(d), np.ones(d), unsafe)
+
+
+class TestExactnessHarness:
+    """The unsafe regions are exactly {x in box : f(x) unsafe} under
+    degenerate geometry, with the filter on and off."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=degenerate_nets())
+    def test_small_integer_nets(self, case):
+        check_exact_regions(*case)

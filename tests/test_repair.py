@@ -16,11 +16,8 @@ from relurepair.model import (
     Network,
     TrainConfig,
     accuracy,
-    forward_batch,
-    save_nnet,
 )
 from relurepair.reach import (
-    ReachOptions,
     SafetyProperty,
     UnsafeDomain,
     projection_polygon,
@@ -257,7 +254,7 @@ class TestRepair:
 
     def test_reach_blowup_aborts_with_partial_report(self):
         candidate, prop, train_data, test_data = desk_repair_fixture()
-        cfg = RepairConfig(reach=ReachOptions(max_sets=1), max_iterations=5)
+        cfg = RepairConfig(max_sets=1, max_iterations=5)
         with pytest.raises(RepairAborted) as err:
             repair(candidate, [prop], train_data, test_data, cfg)
         assert err.value.report.iterations == []
@@ -322,40 +319,12 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("repair went past its input checks")
 
 
-class TestRepairIgnoresFilter:
-    def test_filter_on_and_off_repair_identically(self, tmp_path):
-        # the top 5% of y0 - y1 over the box is unsafe; the data are the
-        # network's own outputs on samples below it. Exact exploration reaches
-        # wholly safe final sets that the filter prunes, so a repair that
-        # learned from them would depend on the filter.
-        net = fx.random_network([3, 8, 8, 2], seed=3)
-        xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(1500, 3))
-        ys = forward_batch(net, xs)
-        t = float(np.percentile(ys[:, 0] - ys[:, 1], 95))
-        prop = SafetyProperty("top", -np.ones(3), np.ones(3),
-                              UnsafeDomain([(np.array([-1.0, 1.0]), t)]))
-        below = ys[:, 0] - ys[:, 1] < t
-        xs, ys = xs[below], ys[below]
-        train_data = LabeledDataset(xs[:300], ys[:300])
-        test_data = LabeledDataset(xs[300:500], ys[300:500])
-        out = []
-        for use_filter in (True, False):
-            cfg = RepairConfig(
-                alpha=0.5,
-                epsilon=-0.05,
-                reach=ReachOptions(use_filter=use_filter),
-                train=TrainConfig(learning_rate=0.05, epochs_per_iteration=5),
-            )
-            fixed, report = repair(net, [prop], train_data, test_data, cfg)
-            assert report.verdict == REPAIRED
-            path = tmp_path / f"filter-{use_filter}.nnet"
-            save_nnet(fixed, path)
-            out.append((path.read_bytes(), report.to_dict(include_timing=False)))
-        assert out[0][1]["iterations"][0]["pairs_corrected"] > 0
-        assert out[0] == out[1]
-
-
 class TestRepairConfig:
+    @pytest.mark.parametrize("max_sets", [0, -3])
+    def test_max_sets_below_one_rejected(self, max_sets):
+        with pytest.raises(ValueError, match="^max_sets must be at least 1$"):
+            RepairConfig(max_sets=max_sets)
+
     @pytest.mark.parametrize("name", ["alpha", "epsilon", "accuracy_floor"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_setting_rejected(self, name, value):
@@ -439,26 +408,28 @@ class TestRepairInputChecks:
 
 
 class TestProjectionPass:
-    @pytest.mark.parametrize("use_filter", [True, False])
+    # one exploration per iteration, whether or not the properties share
+    # their input box
+    @pytest.mark.parametrize("shared_box", [True, False])
     @pytest.mark.parametrize("axes", [None, (0, 1)])
-    def test_one_exploration_per_iteration(self, monkeypatch, axes, use_filter):
+    def test_one_exploration_per_iteration(self, monkeypatch, axes, shared_box):
         net = fx.toy_unsafe_network()
         p1 = fx.toy_property()
-        p2 = SafetyProperty("reverse", p1.input_lb, p1.input_ub,
+        shift = 0.0 if shared_box else 0.5
+        p2 = SafetyProperty("reverse", p1.input_lb + shift, p1.input_ub + shift,
                             UnsafeDomain([(np.array([-1.0, 1.0]), 0.5)]))
         train_data = fx.sampled_dataset(fx.toy_safe_network(), p1.input_lb, p1.input_ub, 400, seed=0)
         test_data = fx.sampled_dataset(fx.toy_safe_network(), p1.input_lb, p1.input_ub, 200, seed=1)
         cfg = RepairConfig(
             max_iterations=3,
             projection_axes=axes,
-            reach=ReachOptions(use_filter=use_filter),
             train=TrainConfig(learning_rate=0.05, epochs_per_iteration=5, seed=0),
         )
-        filters = []
+        passes = []
         explore = reach_mod._explore
 
         def spy_explore(net, groups, opts, *args, **kwargs):
-            filters.append(opts.use_filter)
+            passes.append((len(groups), opts.use_filter, opts.keep_regions))
             return explore(net, groups, opts, *args, **kwargs)
 
         candidates = [net]
@@ -472,7 +443,8 @@ class TestProjectionPass:
         monkeypatch.setattr(repair_mod, "train", spy_train)
         _, report = repair(net, [p1, p2], train_data, test_data, cfg)
         assert len(report.iterations) == 3
-        assert filters == [use_filter] * 3  # one pass per iteration, as configured
+        # one filtered pass per iteration, keeping its regions
+        assert passes == [(1 if shared_box else 2, True, True)] * 3
         if axes is None:
             assert all(rec.projections is None for rec in report.iterations)
             return
@@ -493,7 +465,7 @@ class TestProjectionPass:
         net, prop = fx.bench_network(), fx.bench_property()
         train_data = fx.sampled_dataset(net, prop.input_lb, prop.input_ub, 200, seed=0)
         test_data = fx.sampled_dataset(net, prop.input_lb, prop.input_ub, 100, seed=1)
-        cfg = RepairConfig(max_iterations=3, reach=ReachOptions(max_sets=106),
+        cfg = RepairConfig(max_iterations=3, max_sets=106,
                            projection_axes=(0, 1), train=TrainConfig(epochs_per_iteration=2))
         _, report = repair(net, [prop], train_data, test_data, cfg)
         first = report.iterations[0].projections[prop.name]["unsafe"]

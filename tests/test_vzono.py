@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relurepair.fvim import TrackedSet, box_polytope
-from relurepair import vzono
 from relurepair.reach import UnsafeDomain
 from relurepair.vzono import (
     VZono,
@@ -31,6 +30,17 @@ from conftest import (
 )
 
 FIG5_TRIANGLE = [[-1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]
+
+
+def random_domain(rng, dim, k):
+    """UnsafeDomain of k constraints with normals in {-1, -0.5, 0, 0.5, 1}^dim,
+    redrawn while all zero, and offsets in {-2, -1.5, ..., 2}."""
+    cons = []
+    while len(cons) < k:
+        a, b = rng.integers(-2, 3, size=dim) * 0.5, float(rng.integers(-4, 5)) * 0.5
+        if a.any():
+            cons.append((a, b))
+    return UnsafeDomain(cons)
 
 
 def random_vzono(rng, dim=None, n_max=6):
@@ -324,9 +334,10 @@ class TestIsProvablySafe:
         assert is_provably_safe(z, UnsafeDomain(cons))
 
     def test_empty_conjunction_rejected(self):
-        z = VZono(np.zeros((1, 2)), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            is_provably_safe(z, [])
+        # the check takes an UnsafeDomain, and none is empty: an empty
+        # conjunction would mark the whole space unsafe
+        with pytest.raises(ValueError, match="^unsafe domain must be nonempty$"):
+            UnsafeDomain([])
 
 
 COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
@@ -361,29 +372,31 @@ class TestIsProvablySafeMatchesConstraintMin:
     @given(case=vzono_and_constraints())
     def test_any_positive_minimum(self, case):
         z, cons = case
+        assume(all(np.any(a) for a, _ in cons))
         mins = [constraint_min(z, a, b) for a, b in cons]
         # one matrix product and one product per normal may round apart, so
         # the two can disagree only on a minimum within rounding of zero
-        if is_provably_safe(z, cons) != any(m > 0.0 for m in mins):
+        if is_provably_safe(z, UnsafeDomain(cons)) != any(m > 0.0 for m in mins):
             assert min(abs(m) for m in mins) <= ROUNDING
 
     def test_zero_minimum_is_not_provably_safe(self):
         # every product is exact: the minimum is 0, which the domain touches
         z = VZono(np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([[0.0, 1.0]]))
         assert constraint_min(z, np.array([0.0, 1.0]), 1.0) == 0.0
-        assert not is_provably_safe(z, [(np.array([0.0, 1.0]), 1.0)])
-        assert is_provably_safe(z, [(np.array([0.0, 1.0]), 1.5), (np.array([1.0, 0.0]), 0.0)])
+        assert not is_provably_safe(z, UnsafeDomain([(np.array([0.0, 1.0]), 1.0)]))
+        assert is_provably_safe(z, UnsafeDomain([(np.array([0.0, 1.0]), 1.5),
+                                                 (np.array([1.0, 0.0]), 0.0)]))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(case=vzono_and_constraints(), data=st.data())
     def test_wrong_length_normal_raises_constraint_min_error(self, case, data):
+        # a domain's normals share one length, which must be the set's
         z, cons = case
-        bad = np.ones(data.draw(st.sampled_from([z.dim - 1, z.dim + 1])))
-        cons[data.draw(st.integers(0, len(cons) - 1))] = (bad, 0.0)
+        bad = np.ones(data.draw(st.sampled_from([n for n in (z.dim - 1, z.dim + 1) if n >= 1])))
         with pytest.raises(ValueError) as want:
             constraint_min(z, bad, 0.0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            is_provably_safe(z, cons)
+            is_provably_safe(z, UnsafeDomain([(bad, b) for _, b in cons]))
 
 
 class TestIsProvablySafeOnDomain:
@@ -392,18 +405,20 @@ class TestIsProvablySafeOnDomain:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=vzono_and_constraints())
     def test_domain_matches_plain_list(self, case):
+        # the normals of the list, in order, are the columns, bit for bit
         z, cons = case
         assume(all(np.any(a) for a, _ in cons))
-        assert is_provably_safe(z, UnsafeDomain(cons)) == is_provably_safe(z, cons)
+        u = UnsafeDomain(cons)
+        assert u.normals.shape == (z.dim, len(cons)) and u.normals.flags.c_contiguous
+        assert u.normals.T.tobytes() == np.array([a for a, _ in cons]).tobytes()
+        assert u.offsets.tobytes() == np.array([b for _, b in cons]).tobytes()
 
-    def test_domain_is_not_restacked(self, monkeypatch):
+    def test_domain_is_not_restacked(self):
         u = UnsafeDomain([(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), -1.0)])
-
-        def restack(constraints, dim):
-            raise AssertionError("stacked again")
-
-        monkeypatch.setattr(vzono, "stack_constraints", restack)
         z = VZono(np.array([[2.0, 0.0]]), np.array([[0.1, 0.0]]))
+        assert is_provably_safe(z, u)
+        # the check reads the arrays stacked at construction only
+        object.__setattr__(u, "constraints", ())
         assert is_provably_safe(z, u)
 
     def test_wrong_dimension_raises_constraint_min_error(self):
@@ -532,11 +547,10 @@ class TestBatchMatchesBatchOfOne:
     def test_is_provably_safe(self, case, k):
         members, rng = case
         dim = members[0].dim
-        cons = [(rng.integers(-2, 3, size=dim) * 0.5, float(rng.integers(-4, 5)) * 0.5)
-                for _ in range(k)]
-        got = is_provably_safe(stack_members(members), cons)
+        u = random_domain(rng, dim, k)
+        got = is_provably_safe(stack_members(members), u)
         assert got.shape == (len(members),)
-        assert got.tolist() == [bool(is_provably_safe(z, cons)[0]) for z in members]
+        assert got.tolist() == [bool(is_provably_safe(z, u)[0]) for z in members]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=sibling_batches(), data=st.data())
@@ -613,9 +627,8 @@ class TestAffineMapDropsZeroBaseVectors:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
             dim = out.dim
             for _ in range(3):
-                cons = [(rng.integers(-2, 3, size=dim) * 0.5, float(rng.integers(-4, 5)) * 0.5)
-                        for _ in range(int(rng.integers(1, 3)))]
-                assert is_provably_safe(out, cons).tolist() == is_provably_safe(full, cons).tolist()
+                u = random_domain(rng, dim, int(rng.integers(1, 3)))
+                assert is_provably_safe(out, u).tolist() == is_provably_safe(full, u).tolist()
             z = relu_layer(out)
 
 
