@@ -115,33 +115,32 @@ def bench_network(depth=6):
     unsafe side. Branches become provably safe one layer after they split,
     so filtered search walks a single corridor of the tree.
 
-    Each layer reads only the carry neuron of the one before, and the output
-    reads the carry and the 0.9 gate, so every splitting neuron but the gate
-    feeds no output: every exact split but the gate's is one the function
-    does not need. The pruning this net shows is pruning of those splits.
-    Explored over its live neurons only, depth 7 visits 10 sets filtered
-    against 11 unfiltered (91%), where over every neuron it visits 26
-    against 385.
+    Layer k holds a carry neuron x1 + 2, from layer 2 on a sum neuron, and
+    splitters relu(x1 - t); the last adds a gate splitter at 0.9. The carry
+    and splitters read the carry before them, the sum reads every other
+    neuron before it, y0 reads the gate and y1 every other neuron of the
+    last layer. So every neuron is live and y1 bends at every threshold: the
+    pruned splits are ones the function needs. Depth 7 explores 26 sets
+    filtered against 385 unfiltered and finds 5 unsafe regions.
     """
-    layers = []
+    layers, width = [], 2  # layer 1 reads x = (x1, x2)
     for k in range(1, depth + 1):
         thresholds = [(2 * j + 1) / 2 ** (k - 1) - 1.0 for j in range(2 ** (k - 1))]
         if k == depth:
             thresholds.append(0.9)  # gates the unsafe output sliver
-        if k == 1:
-            # reads x = (x1, x2); the carry channel keeps x1 + 2 > 0
-            rows = [[1.0, 0.0]] * (1 + len(thresholds))
-            bias = [2.0] + [-t for t in thresholds]
-        else:
-            width = 1 + 2 ** (k - 2)  # carry + previous layer's splitters
-            rows = [[1.0] + [0.0] * (width - 1)] * (1 + len(thresholds))
-            bias = [0.0] + [-(t + 2.0) for t in thresholds]
-        layers.append(Layer(np.array(rows), np.array(bias), RELU))
-    # y1 crosses zero only where the 0.9 gate neuron is active enough
-    last_width = 1 + 2 ** (depth - 1) + 1
-    out_w = np.zeros((2, last_width))
+        sums = int(k > 1)
+        w = np.zeros((1 + sums + len(thresholds), width))
+        w[:, 0] = 1.0
+        if sums:
+            w[1] = [0.0] + [1.0] * (width - 1)
+        # the carry channel keeps x1 + 2 > 0
+        bias = [2.0 - 2 * sums] + [0.0] * sums + [-(t + 2 * sums) for t in thresholds]
+        layers.append(Layer(w, np.array(bias), RELU))
+        width = w.shape[0]
+    # y0 crosses zero only where the 0.9 gate neuron is active enough
+    out_w = np.zeros((2, width))
     out_w[0, -1] = 40.0
-    out_w[1, 0] = 1.0
+    out_w[1, :-1] = 1.0
     layers.append(Layer(out_w, np.array([-1.0, 0.0]), IDENTITY))
     return Network(layers)
 

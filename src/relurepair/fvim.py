@@ -242,17 +242,22 @@ def facet_halfspaces(s):
 
     Each incidence row spans a supporting hyperplane of the input polytope;
     the normal is fit by SVD through the facet's vertices and oriented so the
-    vertex centroid satisfies the inequality. One SVD per facet row, so
+    vertex centroid satisfies the inequality. A row whose vertices have
+    affine rank below d - 1 (relative tolerance 1e-9) spans less than a
+    facet, fixes no normal and is skipped. One SVD per facet row, so
     exploration never calls this: only a caller testing membership does.
     """
     pts_all = s.input_vertices
+    d = s.input_dim
     centroid = pts_all.mean(axis=0)
     rows_a = []
     rows_b = []
     for r in range(s.fvim.shape[0]):
         pts = pts_all[s.fvim[r]]
         c = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - c, full_matrices=True)
+        _, sv, vt = np.linalg.svd(pts - c, full_matrices=True)
+        if d > 1 and (sv.size < d - 1 or sv[d - 2] <= 1e-9 * sv[0]):
+            continue
         normal = vt[-1]
         offset = -float(normal @ c)
         side = float(normal @ centroid) + offset

@@ -23,7 +23,7 @@ class Layer:
     """One affine layer: y = W x + b followed by an elementwise activation.
 
     The weight and bias arrays given are made read-only, so a Network's
-    live layers (see Network) cannot fall out of step with its layers.
+    live network (see Network) cannot fall out of step with its layers.
     """
 
     weights: np.ndarray  # (out_dim, in_dim)
@@ -52,14 +52,13 @@ class Network:
     trailing entry for the output) are carried along when loaded from an
     NNet file and written back by `save_nnet`; nothing applies them.
 
-    Construction also works out which neurons are live: every output neuron
-    is, and so is any neuron that a live neuron of the next layer reads with
-    a nonzero weight. live_neurons[k] indexes the live coordinates of the
-    input of layer k (of the output for k = num_layers), as an index array,
-    or slice(None) when all are live. live_layers[k] is layer k cut down to
-    its live neurons and the live inputs they read; a layer that keeps every
-    neuron and reads every input is the layer itself, not a copy. The relaxed
-    filter runs over these: a dead neuron changes no live pre-activation.
+    Construction also builds `live`, the same function over live neurons
+    only, which reachability explores: a neuron is live if it is an output,
+    or if a live neuron of the next layer reads it with a nonzero weight.
+    Layer 0 keeps every input column and its live rows; later layers keep
+    live rows and columns. A network whose neurons are all live is its own
+    live network. Training keeps the full network: a gradient step can give
+    a dead neuron's zero outgoing weights a nonzero value.
     """
 
     def __init__(self, layers, mins=None, maxes=None, means=None, ranges=None):
@@ -82,18 +81,15 @@ class Network:
         self.maxes = None if maxes is None else np.asarray(maxes, float)
         self.means = None if means is None else np.asarray(means, float)
         self.ranges = None if ranges is None else np.asarray(ranges, float)
-        live, live_layers = [slice(None)], []
-        rows = np.arange(self.output_dim)
-        for ly in reversed(self.layers):
-            out_dim, in_dim = ly.weights.shape
-            reads = np.flatnonzero(ly.weights[rows].any(axis=0))
-            if rows.size < out_dim or reads.size < in_dim:
+        cut, rows = [], np.arange(self.output_dim)
+        for k, ly in reversed(list(enumerate(self.layers))):
+            reads = np.flatnonzero(ly.weights[rows].any(axis=0)) if k else np.arange(self.input_dim)
+            if rows.size < ly.weights.shape[0] or reads.size < ly.weights.shape[1]:
                 ly = Layer(ly.weights[np.ix_(rows, reads)], ly.bias[rows], ly.activation)
-            live_layers.insert(0, ly)
-            live.insert(0, reads if reads.size < in_dim else slice(None))
+            cut.insert(0, ly)
             rows = reads
-        self.live_neurons = tuple(live)
-        self.live_layers = tuple(live_layers)
+        # a cut network keeps only live neurons, so it is its own live network
+        self.live = self if all(a is b for a, b in zip(cut, self.layers)) else self.with_layers(cut)
 
     @property
     def num_layers(self):

@@ -175,22 +175,17 @@ def output_overapprox(net, sets):
     cursor. A set with more than VZONO_CAP vertices starts from its interval
     hull.
 
-    Only live neurons are relaxed (see model.Network): the sets' vertices
-    are taken at the live inputs of the cursor's layer and mapped through
-    net.live_layers. A dead neuron meets a zero weight in every live neuron
-    of the next layer, so dropping it changes no live pre-activation; in the
-    full pass its base vectors vanish by the output layer, where affine_map
-    drops them. The result is the full pass's but for the rounding of sums
-    that skip the zero terms."""
+    _explore passes the live network (see model.Network), so only live
+    neurons are relaxed; any other network is relaxed over every neuron."""
     cursors = {s.layer_cursor for s in sets}
     if len(cursors) != 1:
         raise ValueError(f"sets must share one layer cursor, got {sorted(cursors)}")
     cursor = cursors.pop()
-    z = vzono.from_tracked(sets, net.live_neurons[cursor])
+    z = vzono.from_tracked(sets)
     big = z.vertex_counts > VZONO_CAP
     if big.any():
         z = vzono.interval_hull(z, big)
-    for ly in net.live_layers[cursor:]:
+    for ly in net.layers[cursor:]:
         z = vzono.affine_map(z, ly.weights, ly.bias)
         if ly.activation != IDENTITY:
             z = vzono.relu_layer(z)
@@ -260,9 +255,13 @@ def _explore(net, groups, opts, stats, collect_final=False):
     max_sets check, then pruned if its verdict says so. Final sets are never
     checked.
 
+    Both passes run over net.live (see model.Network): no set is split on a
+    neuron that no output reads, and current vertices hold live coordinates.
+
     layer_output, output_overapprox and backtrack are called through their
     module-global names, so a tracer that replaces them sees every call.
     """
+    net = net.live
     total = ReachStats()
     regions = {}
     final_sets = [] if collect_final else None
@@ -376,10 +375,10 @@ def reach_unsafe_all(net, properties, opts=None, stats=None):
 
 def exact_final_sets(net, prop, opts=None, stats=None):
     """(final sets, unsafe regions) of one unpruned exploration of the
-    property's input box. There is one final set per linear region of the
-    box, and the union of their output hulls is the exact reachable output
-    domain. The regions are canonically sorted and equal reach_unsafe's: the
-    filter prunes only subtrees that hold none.
+    property's input box. There is one final set per activation region of
+    the live neurons, and the union of their output hulls is the exact
+    reachable output domain. The regions are canonically sorted and equal
+    reach_unsafe's: the filter prunes only subtrees that hold none.
     """
     _check_dims(net, prop)
     opts = replace(opts or ReachOptions(), use_filter=False)

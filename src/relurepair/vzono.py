@@ -106,10 +106,10 @@ def _ranges(starts, counts):
     return (starts - _starts(counts)).repeat(counts) + np.arange(counts.sum())
 
 
-def from_tracked(sets, columns=slice(None)):
-    """Exact conversion of tracked sets, one member each: the given columns
-    of its current vertices, all by default, and no base vectors."""
-    vertices = [s.current_vertices[:, columns] for s in sets]
+def from_tracked(sets):
+    """Exact conversion of tracked sets, one member each: its current
+    vertices and no base vectors."""
+    vertices = [s.current_vertices for s in sets]
     if not vertices:
         raise ValueError("need at least one tracked set")
     counts = np.array([len(a) for a in vertices], np.intp)

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from relurepair.fvim import ON_PLANE_TOL, TrackedSet
+from relurepair.fvim import ON_PLANE_TOL, TrackedSet, facet_halfspaces
 from relurepair.model import IDENTITY, RELU, Layer, Network, NNetFormatError, forward_batch
 from relurepair import fixtures as fx
 from relurepair import vzono
@@ -228,6 +228,19 @@ def acceptance_cases():
     return acceptance_networks()
 
 
+def is_full_dimensional(region):
+    """Whether a region's input vertices span its input space."""
+    x = region.input_vertices
+    return np.linalg.matrix_rank(x - x.mean(axis=0), tol=1e-9) == region.input_dim
+
+
+def summed_hull_volume(regions):
+    """Summed qhull volume of the full-dimensional regions' input vertices."""
+    from scipy.spatial import ConvexHull
+
+    return sum(ConvexHull(r.input_vertices).volume for r in regions if is_full_dimensional(r))
+
+
 def check_exact_regions(net, prop, samples=4000, seed=0, tol=1e-7):
     """Exactness harness for one property: the unsafe regions are exactly
     {x in box : f(x) unsafe}. Checks, failing an assert otherwise, that
@@ -241,9 +254,8 @@ def check_exact_regions(net, prop, samples=4000, seed=0, tol=1e-7):
       interior-disjoint, so this catches missing pieces and overlaps alike);
     - every unsafe sample lies in the hull of some full-dimensional
       region's input vertices, and every sample in such a hull is unsafe,
-      both within tol. The hull is qhull's, not fvim.facet_halfspaces',
-      which fits a wrong halfspace to an incidence row that spans less than
-      a facet.
+      both within tol. The hull is qhull's, and fvim.facet_halfspaces of the
+      region must hold the same samples.
 
     Returns the regions."""
     from scipy.spatial import ConvexHull
@@ -259,17 +271,15 @@ def check_exact_regions(net, prop, samples=4000, seed=0, tol=1e-7):
 
     lb, ub = prop.input_lb, prop.input_ub
     d = lb.size
-    volume, halfspaces = 0.0, []
     for r in on:
         x = r.input_vertices
         assert (x >= lb - tol).all() and (x <= ub + tol).all()
         assert np.allclose(forward_batch(net, x), r.current_vertices, atol=tol)
         assert (prop.unsafe.margins(r.current_vertices) <= tol).all()
-        if np.linalg.matrix_rank(x - x.mean(axis=0), tol=1e-9) == d:
-            hull = ConvexHull(x)
-            volume += hull.volume
-            halfspaces.append((hull.equations[:, :-1], hull.equations[:, -1]))
-    share = volume / float(np.prod(ub - lb))
+    full = [r for r in on if is_full_dimensional(r)]
+    hulls = [ConvexHull(r.input_vertices) for r in full]
+    halfspaces = [(h.equations[:, :-1], h.equations[:, -1]) for h in hulls]
+    share = sum(h.volume for h in hulls) / float(np.prod(ub - lb))
 
     xs = np.random.default_rng(seed).uniform(lb, ub, size=(samples, d))
     margins = prop.unsafe.margins(forward_batch(net, xs)).max(axis=1)
@@ -277,16 +287,39 @@ def check_exact_regions(net, prop, samples=4000, seed=0, tol=1e-7):
     sigma = np.sqrt(max(share * (1.0 - share), 1.0 / samples) / samples)
     assert abs(unsafe.mean() - share) <= 5.0 * sigma, (unsafe.mean(), share)
     inside = np.zeros(samples, bool)
-    for hs in halfspaces:
-        inside |= contains(hs, xs, tol=tol)
+    for r, hs in zip(full, halfspaces):
+        held = contains(hs, xs, tol=tol)
+        assert np.array_equal(contains(facet_halfspaces(r), xs, tol=tol), held)
+        inside |= held
     assert not (unsafe & ~inside).any(), "an unsafe sample lies in no region"
     assert (margins[inside] <= 1e-6).all(), "a sample in a region is safe"
     return on
 
 
-# The relaxed pass as it was before it mapped live neurons only: every
-# neuron of every remaining layer. Kept as the reference for
-# reach.output_overapprox.
+# The relaxed pass as it was before exploration ran over the live network:
+# every neuron of every remaining layer. Kept as the reference for
+# reach.output_overapprox over the live network, together with an
+# independent count of the live neurons.
+
+
+def live_columns(net):
+    """Per layer k, the input coordinates of layer k that an output reads
+    through a chain of nonzero weights: every input for layer 0."""
+    need = set(range(net.output_dim))
+    cols = []
+    for k in range(net.num_layers - 1, 0, -1):
+        w = net.layers[k].weights
+        need = {c for r in need for c in range(w.shape[1]) if w[r, c] != 0.0}
+        cols.insert(0, sorted(need))
+    return [list(range(net.input_dim))] + cols
+
+
+def to_live_columns(net, sets):
+    """Tracked sets of the full network, cut to the live coordinates of
+    their cursor's layer, as exploring net.live holds them."""
+    cols = live_columns(net) + [slice(None)]  # every output is live
+    return [TrackedSet(s.fvim, s.input_vertices, s.current_vertices[:, cols[s.layer_cursor]], s.layer_cursor)
+            for s in sets]
 
 
 def full_output_overapprox(net, sets):
@@ -301,6 +334,29 @@ def full_output_overapprox(net, sets):
         if ly.activation != IDENTITY:
             z = vzono.relu_layer(z)
     return z
+
+
+def corridor_network(depth):
+    """The pruning corridor as fixtures.bench_network built it before every
+    neuron was live: layer k splits x1 at the odd multiples of 2^(1-k), but
+    each layer reads only the carry neuron (x1 + 2) of the one before, and
+    the output reads the carry and the 0.9 gate. So every splitter but the
+    gate is dead, and the function has 2 linear pieces."""
+    layers = []
+    for k in range(1, depth + 1):
+        thresholds = [(2 * j + 1) / 2 ** (k - 1) - 1.0 for j in range(2 ** (k - 1))]
+        if k == depth:
+            thresholds.append(0.9)
+        w = np.zeros((1 + len(thresholds), 2 if k == 1 else 1 + 2 ** (k - 2)))
+        w[:, 0] = 1.0
+        shift = 0.0 if k == 1 else 2.0
+        bias = [2.0 - shift] + [-(t + shift) for t in thresholds]
+        layers.append(Layer(w, np.array(bias), RELU))
+    out_w = np.zeros((2, layers[-1].weights.shape[0]))
+    out_w[0, -1] = 40.0
+    out_w[1, 0] = 1.0
+    layers.append(Layer(out_w, np.array([-1.0, 0.0]), IDENTITY))
+    return Network(layers)
 
 
 # The NNet loader as it was before it read each layer block with

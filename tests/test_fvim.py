@@ -256,6 +256,29 @@ class TestFacetHalfspaces:
             pts = region_points(rng, part.input_vertices, 300)
             assert contains(hs, pts, tol=1e-9).all()
 
+    def test_row_spanning_less_than_a_facet_is_skipped(self):
+        # region 2 of this net holds an incidence row of the 4 vertices with
+        # x1 = x3 = 0, a 2-face of a 4-d polytope; a normal fit through it is
+        # arbitrary and cut 133 of the region's 611 samples away
+        from scipy.spatial import ConvexHull
+
+        from relurepair.model import IDENTITY, Layer, Network
+        from relurepair.reach import SafetyProperty, UnsafeDomain, reach_unsafe
+
+        w0 = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+        w1 = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
+        net = Network([Layer(w0, np.zeros(3)), Layer(w1, np.zeros(2), IDENTITY)])
+        prop = SafetyProperty("p", -np.ones(4), np.ones(4), UnsafeDomain([([1.0, 0.0], 0.0)]))
+        regions = reach_unsafe(net, prop)
+        xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4000, 4))
+        assert len(regions) == 6 and regions[2].fvim.shape[0] == 9
+        assert facet_halfspaces(regions[2])[0].shape[0] == 8
+        for r in regions:
+            hull = ConvexHull(r.input_vertices)
+            want = contains((hull.equations[:, :-1], hull.equations[:, -1]), xs, tol=1e-9)
+            assert np.array_equal(contains(facet_halfspaces(r), xs, tol=1e-9), want)
+        assert contains(facet_halfspaces(regions[2]), xs, tol=1e-9).sum() == 611
+
 
 # ---------------------------------------------------------------------------
 # The vectorised split against the per-pair loop it replaced. Children must be

@@ -399,37 +399,40 @@ def test_block_reader_matches_the_per_row_reference(tmp_path_factory, data):
 class TestLiveNeurons:
     def test_dense_net_keeps_its_own_layers(self):
         net = fx.random_network([3, 5, 4, 2], seed=9)
-        assert all(live is ly for live, ly in zip(net.live_layers, net.layers))
-        assert all(live.weights is ly.weights and live.bias is ly.bias
-                   for live, ly in zip(net.live_layers, net.layers))
-        assert net.live_neurons == (slice(None),) * (net.num_layers + 1)
+        assert net.live is net
 
     def test_cuts_dead_neurons_and_unread_inputs(self):
         # neuron 1 of layer 1 feeds nothing; neuron 1 of layer 0 feeds only
-        # it, and only that neuron reads input 1; output neuron 0 reads nothing
+        # it, and only that neuron reads input 1; output neuron 0 reads nothing.
+        # Layer 0 keeps input 1 all the same: the live network has the input
+        # space of the full one
         w0 = np.array([[1.0, 0.0], [2.0, 3.0], [-1.0, 0.0]])
         w1 = np.array([[4.0, 0.0, 0.0], [0.0, 5.0, 0.0], [6.0, 0.0, 7.0]])
         w2 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
         net = Network([Layer(w0, np.arange(3.0)), Layer(w1, np.arange(3.0)),
-                       Layer(w2, np.arange(2.0), IDENTITY)])
-        assert [np.asarray(n).tolist() for n in net.live_neurons[:3]] == [[0], [0, 2], [0, 2]]
-        assert net.live_neurons[3] == slice(None)
-        want = [(w0[[0, 2]][:, [0]], [0.0, 2.0]), (w1[np.ix_([0, 2], [0, 2])], [0.0, 2.0]),
+                       Layer(w2, np.arange(2.0), IDENTITY)], mins=[0.0, 1.0], maxes=[2.0, 3.0])
+        live = net.live
+        assert live is not net and live.live is live
+        assert live.layer_sizes() == [2, 2, 2, 2]
+        assert live.mins.tolist() == [0.0, 1.0] and live.maxes.tolist() == [2.0, 3.0]
+        want = [(w0[[0, 2]], [0.0, 2.0]), (w1[np.ix_([0, 2], [0, 2])], [0.0, 2.0]),
                 (w2[:, [0, 2]], [0.0, 1.0])]
-        for ly, full, (w, b) in zip(net.live_layers, net.layers, want):
+        for ly, full, (w, b) in zip(live.layers, net.layers, want):
             assert ly.weights.tolist() == w.tolist() and ly.bias.tolist() == b
             assert ly.activation == full.activation
+        xs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 2))
+        assert np.array_equal(forward_batch(live, xs), forward_batch(net, xs))
 
     def test_layer_arrays_are_read_only(self):
-        # the output reads hidden neuron 0 only, so live_layers[1] is a cut
-        # copy of layer 1; an in-place edit of layer 1 would leave the relaxed
-        # filter on the old weights, and it could prune a set that the edited
-        # net maps into the unsafe domain
+        # the output reads hidden neuron 0 only, so the live network holds a
+        # cut copy of layer 1; an in-place edit of layer 1 would leave the
+        # exploration on the old weights, and it would miss unsafe inputs of
+        # the edited net
         w0, b0 = np.eye(2), np.zeros(2)
         w1, b1 = np.array([[1.0, 0.0]]), np.array([-0.25])
         net = Network([Layer(w0, b0), Layer(w1, b1, IDENTITY)])
-        assert net.live_layers[1].weights.shape == (1, 1)
-        for ly in net.layers + net.live_layers:
+        assert net.live.layers[1].weights.shape == (1, 1)
+        for ly in net.layers + net.live.layers:
             for a in (ly.weights, ly.bias):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 5.0
@@ -439,10 +442,11 @@ class TestLiveNeurons:
 
     def test_layer_without_live_neurons(self):
         net = Network([Layer(np.ones((2, 2)), np.ones(2)), Layer(np.zeros((1, 2)), np.ones(1), IDENTITY)])
-        assert [np.asarray(n).size for n in net.live_neurons[:2]] == [0, 0]
-        assert net.live_layers[0].weights.shape == (0, 0)
-        assert net.live_layers[1].weights.shape == (1, 0)
-        assert net.live_layers[1].bias.tolist() == [1.0]
+        assert net.live.layer_sizes() == [2, 0, 1]
+        assert net.live.layers[0].weights.shape == (0, 2)
+        assert net.live.layers[1].weights.shape == (1, 0)
+        assert net.live.layers[1].bias.tolist() == [1.0]
+        assert forward_batch(net.live, np.zeros((1, 2))).tolist() == [[1.0]]
 
 
 class TestForward:

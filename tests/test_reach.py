@@ -1,5 +1,6 @@
 """Reachability engine: layer propagation, pruning, backtracking, determinism."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -42,11 +43,16 @@ from relurepair.repair import RepairConfig, repair, unsafe_volume_ratio
 from conftest import (
     check_exact_regions,
     contains,
+    corridor_network,
     fit_affine,
     forward,
     full_output_overapprox,
+    is_full_dimensional,
+    live_columns,
     region_points,
+    summed_hull_volume,
     support,
+    to_live_columns,
 )
 from test_repair import desk_repair_fixture
 
@@ -318,8 +324,9 @@ def nets_with_dead_neurons(draw):
 
 
 class TestRestrictedOverapprox:
-    """output_overapprox relaxes live neurons only, and gives what relaxing
-    every neuron gives, but for all-zero base vectors."""
+    """output_overapprox over the live network relaxes live neurons only, and
+    on the same sets gives what relaxing every neuron of the full network
+    gives, but for all-zero base vectors."""
 
     @staticmethod
     def assert_same_relaxation(got, want):
@@ -338,35 +345,34 @@ class TestRestrictedOverapprox:
                  data.draw(st.integers(-4, 4)) * 0.25)
                 for _ in range(data.draw(st.integers(1, 2)))]
         unsafe = UnsafeDomain(cons)
-        # the siblings of one expansion per layer, down the first child
+        # the siblings of one expansion of the full network per layer, down
+        # the first child
         sets = [box_polytope(-np.ones(net.input_dim), np.ones(net.input_dim))]
         by_cursor = {0: sets}
         for cursor in range(1, net.num_layers + 1):
             sets = layer_output(net, sets[0])
             by_cursor[cursor] = sets
         for cursor in sorted({0, net.num_layers // 2, net.num_layers}):
-            got = output_overapprox(net, by_cursor[cursor])
+            got = output_overapprox(net.live, to_live_columns(net, by_cursor[cursor]))
             want = full_output_overapprox(net, by_cursor[cursor])
             self.assert_same_relaxation(got, want)
             assert (vzono.is_provably_safe(got, unsafe).tolist()
                     == vzono.is_provably_safe(want, unsafe).tolist())
 
-    def test_bench_net_relaxes_the_carry_and_the_gate_only(self, monkeypatch):
+    def test_corridor_net_relaxes_the_carry_and_the_gate_only(self, monkeypatch):
         # every hidden neuron reads the carry neuron 0 of the layer before,
         # and the output reads the carry and the last, gating, neuron
-        net = fx.bench_network(depth=6)
-        live = [np.asarray(n).tolist() for n in net.live_neurons[:-1]]
-        assert live == [[0]] * 6 + [[0, net.layers[-1].weights.shape[1] - 1]]
-        assert net.live_neurons[-1] == slice(None)
+        net = corridor_network(6)
+        assert net.live.layer_sizes() == [2, 1, 1, 1, 1, 1, 2, 2]
+        assert [len(c) for c in live_columns(net)] == [2, 1, 1, 1, 1, 1, 2]
         relax, calls = reach_mod.output_overapprox, []
 
-        def checked(net, sets):
+        def spy(net, sets):
             got = relax(net, sets)
-            self.assert_same_relaxation(got, full_output_overapprox(net, sets))
             calls.append(got.num_base_vectors)
             return got
 
-        monkeypatch.setattr(reach_mod, "output_overapprox", checked)
+        monkeypatch.setattr(reach_mod, "output_overapprox", spy)
         stats = ReachStats()
         reach_unsafe(net, fx.bench_property(), ReachOptions(), stats)
         assert stats.pruned_sets > 0 and len(calls) > 1
@@ -1033,13 +1039,14 @@ SMALL_INTS = st.integers(-2, 2)
 
 
 @st.composite
-def degenerate_nets(draw):
+def degenerate_nets(draw, dead_ends=0):
     """A net in d = 2 to 4 with weights and biases in {-2, ..., 2}, so its
     hyperplanes meet box vertices and each other, over [-1, 1]^d, with one
     or two unsafe constraints of such normals and offsets. A hidden layer
     may hold duplicate neurons (a copied row and bias), zero neurons (a zero
     row: constant, or dead when the bias is not positive) and dead-end
-    neurons (a zero outgoing column)."""
+    neurons (a zero outgoing column); at least `dead_ends` draws make a
+    dead-end neuron."""
     d = draw(st.integers(2, 4))
     sizes = [d] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [draw(st.integers(1, 2))]
     ws, bs = [], []
@@ -1049,7 +1056,10 @@ def degenerate_nets(draw):
         bs.append(np.array(draw(st.lists(SMALL_INTS, min_size=n_out, max_size=n_out)), float))
     for k in range(len(ws) - 1):
         n = ws[k].shape[0]
-        for kind in draw(st.lists(st.sampled_from(["duplicate", "zero", "dead-end"]), max_size=2)):
+        kinds = draw(st.lists(st.sampled_from(["duplicate", "zero", "dead-end"]), max_size=2))
+        if k == 0:
+            kinds += ["dead-end"] * dead_ends
+        for kind in kinds:
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             if kind == "duplicate":
                 ws[k][i], bs[k][i] = ws[k][j], bs[k][j]
@@ -1073,3 +1083,108 @@ class TestExactnessHarness:
     @given(case=degenerate_nets())
     def test_small_integer_nets(self, case):
         check_exact_regions(*case)
+
+
+def full_network_regions(net, prop):
+    """Unsafe regions of an unpruned depth-first exploration of every
+    neuron of the full network, as exploration ran before it took the live
+    network."""
+    stack, regions = [box_polytope(prop.input_lb, prop.input_ub)], []
+    while stack:
+        s = stack.pop()
+        if s.layer_cursor < net.num_layers:
+            stack.extend(layer_output(net, s))
+        elif (region := backtrack(s, prop.unsafe)) is not None:
+            regions.append(region)
+    return regions
+
+
+class TestLiveNetwork:
+    """Exploration runs over net.live: it gives the same unsafe inputs as an
+    exploration of every neuron, in pieces no finer than that one's."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=degenerate_nets(dead_ends=1))
+    def test_dead_end_nets_give_the_full_networks_union(self, case):
+        net, prop = case
+        assert net.live is not net
+        live = check_exact_regions(net, prop)
+        full = full_network_regions(net, prop)
+        assert bool(live) == bool(full)
+        assert len(live) <= len(full)
+        assert np.isclose(summed_hull_volume(live), summed_hull_volume(full), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("a, unsafe", [(1.0, True), (-1.0, False)])
+    def test_layer_without_live_neurons_gives_a_constant(self, use_filter, a, unsafe):
+        # layer 1 reads nothing, so no neuron of layer 0 is live and the
+        # exact pass maps every set through a layer of width 0; y = -0.5
+        net = Network([Layer(np.ones((3, 2)), np.zeros(3)),
+                       Layer(np.zeros((2, 3)), np.array([1.0, 2.0])),
+                       Layer(np.array([[1.0, -1.0]]), np.array([0.5]), IDENTITY)])
+        assert net.live.layer_sizes() == [2, 0, 2, 1]
+        prop = unit_prop(2, single_constraint([a]))
+        stats = ReachStats()
+        regions = reach_unsafe(net, prop, ReachOptions(use_filter=use_filter), stats)
+        box = box_polytope(prop.input_lb, prop.input_ub)
+        if unsafe:
+            (region,) = regions
+            assert np.array_equal(region.input_vertices, box.input_vertices)
+            assert np.array_equal(region.fvim, box.fvim)
+            assert region.current_vertices.tolist() == [[-0.5]] * 4
+        else:
+            assert regions == []
+        assert stats.final_sets == (1 if unsafe or not use_filter else 0)
+        finals, _ = exact_final_sets(net, prop)
+        assert len(finals) == 1 and np.array_equal(finals[0].input_vertices, box.input_vertices)
+
+    def test_unread_inputs_keep_full_dimensional_regions(self):
+        # only input 0 is read: y = |x0| - 0.5, unsafe where y <= 0
+        w0 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        net = Network([Layer(w0, np.zeros(2)), Layer(np.array([[1.0, 1.0]]), np.array([-0.5]), IDENTITY)])
+        assert net.live is net
+        prop = unit_prop(3, single_constraint([1.0]))
+        regions = check_exact_regions(net, prop)
+        assert len(regions) == 2
+        assert all(r.input_dim == 3 and is_full_dimensional(r) for r in regions)
+        assert summed_hull_volume(regions) == pytest.approx(4.0)
+
+    def test_unread_inputs_of_a_cut_network_stay(self):
+        # hidden neuron 1 reads input 1 and feeds nothing, so it goes and
+        # input 1 is read by no live neuron; layer 0 keeps its column.
+        # y = relu(x0) - 0.5 is unsafe on x0 <= 0.5, in two pieces
+        w0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        net = Network([Layer(w0, np.zeros(2)), Layer(np.array([[1.0, 0.0]]), np.array([-0.5]), IDENTITY)])
+        assert net.live.layers[0].weights.tolist() == [[1.0, 0.0]]
+        regions = check_exact_regions(net, unit_prop(2, single_constraint([1.0])))
+        assert len(regions) == 2 and all(map(is_full_dimensional, regions))
+        assert summed_hull_volume(regions) == pytest.approx(3.0)
+
+
+class TestDeepDenseNet:
+    """A deep net whose neurons are all live is its own live network, so it
+    is explored as before; its counters and regions are pinned at the values
+    that exploring every neuron gave."""
+
+    def test_counters_and_regions_are_pinned(self, monkeypatch):
+        net = fx.random_network([2] + [8] * 6 + [2], seed=3)
+        assert net.live is net
+        prop = unit_prop(2, single_constraint([1.0, -1.0], 0.2))
+        real, two_way = fvim.split_by_neuron, []
+
+        def spy(s, i):
+            out = real(s, i)
+            two_way.append(len(out) == 2)
+            return out
+
+        monkeypatch.setattr(fvim, "split_by_neuron", spy)
+        stats = ReachStats()
+        regions = reach_unsafe(net, prop, ReachOptions(), stats)
+        assert (stats.explored_sets, stats.pruned_sets, stats.final_sets, sum(two_way)) == (870, 62, 154, 215)
+        assert stats.unsafe_regions == len(regions) == 154
+        digest = hashlib.sha256()
+        for r in regions:
+            digest.update(r.fvim.tobytes())
+            for x in (r.input_vertices, r.current_vertices):
+                digest.update((np.round(x, 9) + 0.0).tobytes())
+        assert digest.hexdigest() == "7ec9e34e922d02833208a16a4a11493b04e5ba89c57a53aad3d891376ff224ae"
